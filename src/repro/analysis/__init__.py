@@ -48,21 +48,13 @@ from repro.analysis.report import (
     render_json,
     render_text,
 )
-from repro.analysis.sanitizer import (
-    HardwareSanitizer,
-    SanitizedOmegaNetworkSimulator,
-    SanitizedSlotListManager,
-    Violation,
-    sanitize_enabled,
-)
+from repro.analysis.sanitizer import HardwareSanitizer, Violation, sanitize_enabled
 
 __all__ = [
     "Finding",
     "HardwareSanitizer",
     "LintRule",
     "RULES",
-    "SanitizedOmegaNetworkSimulator",
-    "SanitizedSlotListManager",
     "Violation",
     "lint_paths",
     "lint_source",

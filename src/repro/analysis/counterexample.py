@@ -211,15 +211,7 @@ if __name__ == "__main__":
 
     def _build_traced(self, session: Any) -> list[SwitchBuffer]:
         system = self.config.get("system")
-        if system == "starvation":
-            # Single-buffer arrive/depart trace, like "buffer".
-            buffer = make_buffer(
-                self.config["kind"],
-                self.config["capacity"],
-                self.config["num_outputs"],
-            )
-            return [session.adopt_buffer(buffer, "buffer0")]
-        if system == "buffer":
+        if system in ("buffer", "starvation"):
             buffer = make_buffer(
                 self.config["kind"],
                 self.config["capacity"],

@@ -201,9 +201,9 @@ def resolve_backend(
 
     ``backend`` is the forced request (already normalized or raw); when
     ``None`` the ``REPRO_BACKEND`` preference applies softly.  The
-    instrumentation flags describe what the caller is about to do:
-    telemetry, the sanitizer and checkpointing all live in the
-    reference simulator's class hierarchy, so the numpy kernel refuses
+    instrumentation flags describe what the caller is about to do: the
+    sanitizer and telemetry observe the reference simulator's components
+    and checkpointing is implemented by it, so the numpy kernel refuses
     them when forced and yields to the reference kernel when merely
     preferred.
     """
@@ -217,9 +217,9 @@ def resolve_backend(
         return requested
     reason: str | None = None
     if sanitize:
-        reason = "the sanitizer instruments the reference buffer classes"
+        reason = "the sanitizer observes the reference simulator's components"
     elif trace:
-        reason = "telemetry instruments the reference simulator classes"
+        reason = "telemetry observes the reference simulator's components"
     elif checkpoint:
         reason = "checkpoint/resume is implemented by the reference simulator"
     else:

@@ -256,7 +256,16 @@ def write_kernel_bench(document: dict[str, Any], path: str | Path) -> Path:
 
 def load_kernel_bench(path: str | Path) -> dict[str, Any]:
     """Read a kernel benchmark document, validating the schema version."""
-    document = json.loads(Path(path).read_text())
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ConfigurationError(
+            f"kernel benchmark file {path} is not a JSON document: {error}"
+        ) from error
+    if not isinstance(document, dict):
+        raise ConfigurationError(
+            f"kernel benchmark file {path} is not a JSON object"
+        )
     if document.get("schema") != KERNEL_BENCH_SCHEMA:
         raise ConfigurationError(
             f"kernel benchmark file {path} has schema "

@@ -319,10 +319,11 @@ class OmegaNetworkSimulator:
     ) -> Callable[[int], SwitchBuffer]:
         """Build the per-input buffer factory.
 
-        Override hook for instrumented simulators: the sanitized subclass
-        (:class:`repro.analysis.sanitizer.SanitizedOmegaNetworkSimulator`)
-        wraps the returned factory so every buffer is instrumented, while
-        this base class keeps the plain, zero-overhead construction.
+        Override hook for the observed simulator
+        (:class:`repro.observed.ObservedOmegaNetworkSimulator`), which
+        wraps the returned factory so every buffer is adopted by its
+        observers, while this base class keeps the plain, zero-overhead
+        construction.
         """
         return make_buffer_factory(config.buffer_kind, config.slots_per_buffer)
 
@@ -776,7 +777,7 @@ def make_simulator(
     sanitize: bool | None = None,
     trace: bool | None = None,
 ) -> OmegaNetworkSimulator:
-    """Build a plain, sanitized or telemetry-instrumented simulator.
+    """Build a plain simulator, or an observed one for the requested observers.
 
     ``sanitize=None`` (the default) consults the ``REPRO_SANITIZE``
     environment variable, so an unmodified experiment pipeline — including
@@ -785,50 +786,50 @@ def make_simulator(
     ``trace=None`` likewise consults ``REPRO_TRACE`` (full event tracing)
     and ``REPRO_METRICS`` (counters only, no event ring); when either
     names a directory, the run exports its telemetry artifacts there.
-    Both instrumentations observe without perturbing (no RNG draws, no
+
+    Each request adds one observer —
+    :class:`~repro.analysis.sanitizer.HardwareSanitizer` and/or
+    :class:`~repro.telemetry.session.TraceSession` — to one
+    :class:`~repro.observed.ObservedOmegaNetworkSimulator`, so any
+    combination works.  Observers never perturb (no RNG draws, no
     behaviour changes), so results are bit-identical either way; with
     everything off, this constructs :class:`OmegaNetworkSimulator`
     directly and carries zero instrumentation overhead.
-
-    Sanitizing and tracing both claim the buffer classes via
-    ``__class__`` adoption, so combining them is rejected rather than
-    silently half-applied.
     """
+    from repro.analysis.sanitizer import HardwareSanitizer, sanitize_enabled
+    from repro.telemetry.session import (
+        TraceSession,
+        metrics_directory,
+        trace_directory,
+    )
+
     if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+        sanitize = sanitize_enabled()
     trace_dir: str | None
     metrics_dir: str | None
     if trace is None:
-        from repro.telemetry.session import metrics_directory, trace_directory
-
         trace_dir = trace_directory()
         metrics_dir = metrics_directory()
     else:
         trace_dir = "" if trace else None
         metrics_dir = None
-    if trace_dir is None and metrics_dir is None:
-        if not sanitize:
-            return OmegaNetworkSimulator(config)
-        from repro.analysis.sanitizer import SanitizedOmegaNetworkSimulator
+    if not sanitize and trace_dir is None and metrics_dir is None:
+        return OmegaNetworkSimulator(config)
+    from repro.observed import ObservedOmegaNetworkSimulator
 
-        return SanitizedOmegaNetworkSimulator(config)
-    if sanitize:
-        raise ConfigurationError(
-            "REPRO_SANITIZE and REPRO_TRACE/REPRO_METRICS are mutually "
-            "exclusive: both instrument the buffer classes via __class__ "
-            "adoption; run them in separate passes"
-        )
-    from repro.telemetry.session import TraceSession
-    from repro.telemetry.simulator import TracedOmegaNetworkSimulator
-
+    session: TraceSession | None = None
+    export = ""
     if trace_dir is not None:
         session = TraceSession()
         export = trace_dir
-    else:
+    elif metrics_dir is not None:
         session = TraceSession(capacity=0)
-        export = metrics_dir or ""
-    return TracedOmegaNetworkSimulator(
-        config, session=session, export_dir=export or None
+        export = metrics_dir
+    return ObservedOmegaNetworkSimulator(
+        config,
+        sanitizer=HardwareSanitizer() if sanitize else None,
+        session=session,
+        export_dir=export or None,
     )
 
 
@@ -858,14 +859,11 @@ def simulate(
     preference silently falls back — the resolution rules of
     :func:`repro.kernel.base.resolve_backend`.
     """
+    from repro.analysis.sanitizer import sanitize_enabled
     from repro.kernel.base import resolve_backend
     from repro.telemetry.session import metrics_directory, trace_directory
 
-    effective_sanitize = (
-        sanitize
-        if sanitize is not None
-        else os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-    )
+    effective_sanitize = sanitize if sanitize is not None else sanitize_enabled()
     tracing = (
         trace_directory() is not None or metrics_directory() is not None
     )
@@ -893,7 +891,14 @@ def simulate(
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
     """Read and validate a checkpoint document written by ``run``."""
-    document: dict[str, Any] = json.loads(Path(path).read_text())
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ConfigurationError(
+            f"checkpoint {path} is not a JSON document: {error}"
+        ) from error
+    if not isinstance(document, dict):
+        raise ConfigurationError(f"checkpoint {path} is not a JSON object")
     if document.get("format") != SNAPSHOT_VERSION:
         raise ConfigurationError(
             f"checkpoint {path} has format {document.get('format')!r}, "
@@ -909,8 +914,8 @@ def restore_simulator(
 
     A fresh simulator is constructed from the snapshot's own config and
     the snapshot restored into it, so the result is valid under either
-    the plain or the sanitized class — snapshots themselves are
-    sanitizer-agnostic (the sanitizer holds no simulation state).
+    the plain or the observed class — snapshots carry no sanitizer state
+    (the sanitizer re-derives its view from the restored registers).
     """
     config = NetworkConfig.from_state(state["config"])
     simulator = make_simulator(config, sanitize)

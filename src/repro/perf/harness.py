@@ -198,7 +198,14 @@ def load_bench(path: str | Path) -> dict:
     Accepts any of :data:`_READABLE_SCHEMAS`; version-1 documents carry
     no ``backend`` field and are interpreted as reference-backend runs.
     """
-    document = json.loads(Path(path).read_text())
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ConfigurationError(
+            f"benchmark file {path} is not a JSON document: {error}"
+        ) from error
+    if not isinstance(document, dict):
+        raise ConfigurationError(f"benchmark file {path} is not a JSON object")
     if document.get("schema") not in _READABLE_SCHEMAS:
         raise ConfigurationError(
             f"benchmark file {path} has schema "

@@ -282,10 +282,11 @@ def _resolve_backends(
     see — so resolving here keeps the dispatch decision and the worker
     behaviour consistent.
     """
+    from repro.analysis.sanitizer import sanitize_enabled
     from repro.kernel.base import resolve_backend
     from repro.telemetry.session import metrics_directory, trace_directory
 
-    sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+    sanitize = sanitize_enabled()
     tracing = (
         trace_directory() is not None or metrics_directory() is not None
     )

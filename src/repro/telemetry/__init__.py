@@ -1,9 +1,9 @@
 """repro.telemetry — cycle-level tracing, metrics and waveform export.
 
 The observability subsystem: a zero-overhead-when-disabled event bus
-(:class:`TraceSession`) that instruments buffers, slot managers,
-arbiters, the omega-network simulator and the ComCoBB chip ports via the
-same ``__class__``-adoption trick as :mod:`repro.analysis.sanitizer`; a
+(:class:`TraceSession`) that observes buffers, slot managers, arbiters,
+the omega-network simulator and the ComCoBB chip ports through the
+observed layer it shares with :mod:`repro.analysis.sanitizer`; a
 labelled :class:`MetricsRegistry` (counters, gauges, Welford histograms)
 with bit-exact snapshots that compose with :mod:`repro.cache`
 checkpoints and ``parallel_simulate`` merges; and exporters for VCD
@@ -42,10 +42,10 @@ from repro.telemetry.session import (
     METRICS_ENV,
     TRACE_ENV,
     TraceSession,
+    config_tag,
     metrics_directory,
     trace_directory,
 )
-from repro.telemetry.simulator import TracedOmegaNetworkSimulator, config_tag
 from repro.telemetry.vcd import read_vcd, write_vcd
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "TRACE_ENV",
     "TraceEvent",
     "TraceSession",
-    "TracedOmegaNetworkSimulator",
     "config_tag",
     "jain_fairness",
     "load_metrics_document",

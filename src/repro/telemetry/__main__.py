@@ -18,13 +18,13 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.network.simulator import NetworkConfig, Protocol
+from repro.observed import ObservedOmegaNetworkSimulator
 from repro.telemetry.report import (
     merge_metrics_documents,
     metrics_files,
     render_report,
 )
 from repro.telemetry.session import TraceSession
-from repro.telemetry.simulator import TracedOmegaNetworkSimulator
 
 __all__ = ["main"]
 
@@ -96,7 +96,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     session = TraceSession(capacity=0) if args.metrics_only else TraceSession()
-    simulator = TracedOmegaNetworkSimulator(config, session=session)
+    simulator = ObservedOmegaNetworkSimulator(config, session=session)
     result = simulator.run(args.warmup, args.measure)
     written = simulator.export(args.out)
     print(

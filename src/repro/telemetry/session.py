@@ -1,84 +1,82 @@
-"""The trace session and the instrumented component subclasses.
+"""The trace session: one run's telemetry observer.
 
-A :class:`TraceSession` is one run's telemetry sink: the bounded event
-ring, the metrics registry, and the current network-cycle stamp.  It
-instruments live components with the same zero-overhead ``__class__``
-adoption the hardware sanitizer uses (see
-:mod:`repro.analysis.sanitizer`): each traced class has the plain class
-as its *leading* base plus a trailing bookkeeping mixin, so swapping
-``component.__class__`` preserves all live state, and with telemetry off
-the plain classes are constructed directly — the hot path carries zero
-instrumentation branches.
+A :class:`TraceSession` holds the bounded event ring, the metrics
+registry and the current network-cycle stamp.  It is an
+:class:`~repro.observed.Observer`: its ``adopt_*`` methods attach it to
+live components through the shared observed layer
+(:mod:`repro.observed`), whose zero-overhead ``__class__`` adoption the
+hardware sanitizer uses too.  With telemetry off the plain classes are
+constructed directly — the hot path carries zero instrumentation
+branches.
 
-The instrumentation only *observes*: it draws nothing from any RNG and
-never changes model behaviour, so traced runs are bit-identical to plain
+The session only *observes*: it draws nothing from any RNG and never
+changes model behaviour, so traced runs are bit-identical to plain
 ones (pinned by ``tests/integration/test_determinism_regression.py``).
 
-Choke points instrumented here:
+Events and metrics recorded here:
 
-* the four paper buffer classes plus the ``repro.arch`` zoo's
-  (``push``/``pop`` → enqueue/dequeue events, per-buffer counters,
-  occupancy histograms);
-* :class:`~repro.core.linkedlist.SlotListManager` (``allocate`` /
-  ``_append_free`` / ``retire_slot`` → slot alloc/free/retire events and
-  free-depth gauges);
-* every :class:`~repro.switch.scheduler.Scheduler` implementation —
-  :class:`~repro.switch.arbiter.CrossbarArbiter` and the zoo's
-  crosspoint/iterative schedulers (``arbitrate`` → grant/deny events and
+* buffers of every registered kind (``push``/``pop`` → enqueue/dequeue
+  events, per-buffer counters, occupancy histograms);
+* :class:`~repro.core.linkedlist.SlotListManager` (slot alloc/free/retire
+  events and retire counters);
+* every scheduling discipline (``arbitrate`` → grant/deny events and
   per-input fairness counters);
 * the ComCoBB chip's input/output port FSMs (packet completion →
-  link-transfer events and per-port counters).
+  link-transfer events and per-port counters);
+* the Omega network's links (:class:`~repro.observed.
+  ObservedOmegaNetworkSimulator` → link transfers, delivery/loss/discard
+  accounting, flow-control block transitions).
 
-The network-level instrumentation (simulator cycle stamping, link
-transfers, delivery/loss accounting, flow-control block tracking) lives
-in :class:`repro.telemetry.simulator.TracedOmegaNetworkSimulator`.
+The network-level counters reconcile exactly with the simulator's
+meters: ``packets_delivered_measured`` equals ``meters.delivered``,
+``packets_lost_measured`` equals ``meters.lost``, and
+``packets_delivered_total`` equals the sum of every sink's ``received``
+counter (warm-up deliveries included).
 """
 
 from __future__ import annotations
 
+import json
 import os
-from collections.abc import Callable, Sequence
-from typing import Any
+from collections.abc import Sequence
+from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.arch.crosspoint import CrosspointBuffer
-from repro.arch.damq_reserved import DamqReservedBuffer
-from repro.arch.schedulers import CrosspointScheduler, IterativeScheduler
-from repro.chip.comcobb import ComCoBBChip
-from repro.chip.input_port import InputPort
-from repro.chip.output_port import OutputPort
 from repro.core.buffer import SwitchBuffer
 from repro.core.damq import DamqBuffer
-from repro.core.fifo import FifoBuffer
 from repro.core.linkedlist import SlotListManager
 from repro.core.packet import Packet
-from repro.core.safc import SafcBuffer
-from repro.core.samq import SamqBuffer
-from repro.errors import ConfigurationError
-from repro.switch.arbiter import (
-    BlockedPredicate,
-    CrossbarArbiter,
-    Grant,
-    Scheduler,
+from repro.observed import (
+    ObservedBuffer,
+    ObservedScheduler,
+    ObservedSlotListManager,
+    Observer,
+    observe,
 )
+from repro.switch.scheduler import Grant, Scheduler
+from repro.telemetry.chrome import write_chrome_trace
 from repro.telemetry.events import DEFAULT_RING_CAPACITY, EventRing, TraceEvent
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import (
+    METRICS_VERSION,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
+from repro.telemetry.vcd import write_vcd
+
+if TYPE_CHECKING:
+    from repro.chip.comcobb import ComCoBBChip
+    from repro.chip.input_port import InputPort
+    from repro.chip.output_port import OutputPort
+    from repro.network.simulator import NetworkConfig, OmegaNetworkSimulator
 
 __all__ = [
     "METRICS_ENV",
     "TRACE_ENV",
     "TraceSession",
-    "TracedCrossbarArbiter",
-    "TracedCrosspointBuffer",
-    "TracedCrosspointScheduler",
-    "TracedDamqBuffer",
-    "TracedDamqReservedBuffer",
-    "TracedFifoBuffer",
-    "TracedInputPort",
-    "TracedIterativeScheduler",
-    "TracedOutputPort",
-    "TracedSafcBuffer",
-    "TracedSamqBuffer",
-    "TracedSlotListManager",
+    "config_tag",
     "metrics_directory",
     "trace_directory",
 ]
@@ -92,6 +90,14 @@ TRACE_ENV = "REPRO_TRACE"
 #: Same value convention as :data:`TRACE_ENV`; ignored when full tracing
 #: is also requested.
 METRICS_ENV = "REPRO_METRICS"
+
+#: The per-buffer metrics, as ``(type, name)`` pairs.
+_BUFFER_METRICS = (
+    ("counter", "buffer_enqueues_total"),
+    ("counter", "buffer_dequeues_total"),
+    ("histogram", "buffer_occupancy"),
+    ("gauge", "buffer_free_slots"),
+)
 
 
 def _directory_from(variable: str, env: str | None) -> str | None:
@@ -112,7 +118,39 @@ def metrics_directory(env: str | None = None) -> str | None:
     return _directory_from(METRICS_ENV, env)
 
 
-class TraceSession:
+def config_tag(config: NetworkConfig) -> str:
+    """Deterministic file-name stem identifying one config's exports."""
+    load = f"{config.offered_load:g}".replace(".", "p")
+    return (
+        f"{config.buffer_kind.lower()}_{config.protocol}"
+        f"_{config.traffic_kind}_n{config.num_ports}_r{config.radix}"
+        f"_s{config.slots_per_buffer}_load{load}_seed{config.seed}"
+    )
+
+
+@dataclass
+class _BufferMetrics:
+    label: str
+    enqueues: Counter
+    dequeues: Counter
+    occupancy: Histogram
+    free: Gauge
+
+
+@dataclass
+class _SlotMetrics:
+    label: str
+    retires: Counter
+
+
+@dataclass
+class _ArbiterMetrics:
+    label: str
+    grants: list[Counter]
+    denies: list[Counter]
+
+
+class TraceSession(Observer):
     """One run's telemetry sink: event ring + metrics + cycle stamp.
 
     ``capacity=0`` puts the session in metrics-only mode: every emission
@@ -120,25 +158,24 @@ class TraceSession:
     to write while the counters stay complete.
     """
 
+    # Network counters, bound by adopt_network.
+    _blocks: dict[str, Counter]
+    _links: list[Counter]
+    _delivered: tuple[Counter, Counter]
+    _lost: tuple[Counter, Counter]
+    _discarded: tuple[Counter, Counter]
+
     def __init__(
         self,
         capacity: int = DEFAULT_RING_CAPACITY,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        #: Simulated cycle stamp; advanced by the traced simulator (or the
-        #: chip phase methods) before events of that cycle are emitted.
-        self.cycle = 0
         self.ring = EventRing(capacity)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._buffers: list[SwitchBuffer] = []
-        self._managers: list["TracedSlotListManager"] = []
-        self._arbiters: list[Scheduler] = []
-
-    # -- recording ---------------------------------------------------------
-
-    def begin_cycle(self, cycle: int) -> None:
-        """Advance the cycle stamp (call once per simulated cycle)."""
-        self.cycle = cycle
+        self._buffers: dict[SwitchBuffer, _BufferMetrics] = {}
+        self._managers: dict[SlotListManager, _SlotMetrics] = {}
+        self._arbiters: dict[Scheduler, _ArbiterMetrics] = {}
+        self._ports: dict[InputPort | OutputPort, Counter] = {}
 
     def emit(
         self, kind: str, component: str, port: int, value: int, extra: int = 0
@@ -153,57 +190,27 @@ class TraceSession:
     def adopt_buffer(
         self, buffer: SwitchBuffer, label: str | None = None
     ) -> SwitchBuffer:
-        """Install the traced subclass onto a freshly built buffer.
+        """Trace a buffer's enqueues and dequeues.
 
-        ``__class__`` reassignment onto a subclass that adds only
-        bookkeeping attributes: the buffer keeps its exact state and the
-        plain classes stay untouched.  DAMQ buffers additionally get
-        their slot manager adopted, so slot alloc/free/retire events
-        carry the same label.
+        The buffer joins the observed layer in place (its live state is
+        kept).  DAMQ buffers additionally get their slot manager adopted,
+        so slot alloc/free/retire events carry the same label.
         """
-        traced_class = _TRACED_BUFFER_CLASSES.get(type(buffer))
-        if traced_class is None:
-            raise ConfigurationError(
-                f"cannot trace buffer of type {type(buffer).__name__}; "
-                f"expected one of "
-                f"{sorted(cls.__name__ for cls in _TRACED_BUFFER_CLASSES)}"
-            )
-        buffer.__class__ = traced_class
-        buffer._tel = self  # type: ignore[attr-defined]
-        buffer._tel_label = label or f"buffer{len(self._buffers)}"  # type: ignore[attr-defined]
-        self._bind_buffer_metrics(buffer)
-        if isinstance(buffer, DamqBuffer):
-            TracedSlotListManager.adopt(
-                buffer._lists, self, buffer._tel_label  # type: ignore[attr-defined]
-            )
-        self._buffers.append(buffer)
+        if observe(buffer, self, ObservedBuffer, "trace buffer"):
+            name = label or f"buffer{len(self._buffers)}"
+            self._buffers[buffer] = self._buffer_metrics(name)
+            if isinstance(buffer, DamqBuffer):
+                self.adopt_slot_manager(buffer._lists, name)
         return buffer
 
-    def _bind_buffer_metrics(self, buffer: SwitchBuffer) -> None:
-        """Cache this buffer's metric objects under its current label."""
-        label = buffer._tel_label  # type: ignore[attr-defined]
-        buffer._tel_enq = self.metrics.counter(  # type: ignore[attr-defined]
-            "buffer_enqueues_total", buffer=label
+    def _buffer_metrics(self, label: str) -> _BufferMetrics:
+        return _BufferMetrics(
+            label,
+            self.metrics.counter("buffer_enqueues_total", buffer=label),
+            self.metrics.counter("buffer_dequeues_total", buffer=label),
+            self.metrics.histogram("buffer_occupancy", buffer=label),
+            self.metrics.gauge("buffer_free_slots", buffer=label),
         )
-        buffer._tel_deq = self.metrics.counter(  # type: ignore[attr-defined]
-            "buffer_dequeues_total", buffer=label
-        )
-        buffer._tel_occ = self.metrics.histogram(  # type: ignore[attr-defined]
-            "buffer_occupancy", buffer=label
-        )
-        buffer._tel_free = self.metrics.gauge(  # type: ignore[attr-defined]
-            "buffer_free_slots", buffer=label
-        )
-
-    def wrap_factory(
-        self, factory: Callable[[int], SwitchBuffer]
-    ) -> Callable[[int], SwitchBuffer]:
-        """Wrap a buffer factory so every built buffer is traced."""
-
-        def traced_factory(num_outputs: int) -> SwitchBuffer:
-            return self.adopt_buffer(factory(num_outputs))
-
-        return traced_factory
 
     def set_label(self, buffer: SwitchBuffer, label: str) -> None:
         """Relabel a buffer (and its slot manager) for reports.
@@ -213,336 +220,146 @@ class TraceSession:
         re-created under the new one, keeping the registry free of
         stale construction-time entries.
         """
-        old = buffer._tel_label  # type: ignore[attr-defined]
-        for type_name, name in (
-            ("counter", "buffer_enqueues_total"),
-            ("counter", "buffer_dequeues_total"),
-            ("histogram", "buffer_occupancy"),
-            ("gauge", "buffer_free_slots"),
-        ):
+        old = self._buffers[buffer].label
+        for type_name, name in _BUFFER_METRICS:
             self.metrics.drop(type_name, name, buffer=old)
-        buffer._tel_label = label  # type: ignore[attr-defined]
-        self._bind_buffer_metrics(buffer)
+        self._buffers[buffer] = self._buffer_metrics(label)
         if isinstance(buffer, DamqBuffer):
-            manager = buffer._lists
-            if isinstance(manager, TracedSlotListManager):
-                manager.relabel(label)
+            self.adopt_slot_manager(buffer._lists, label)
 
     def adopt_slot_manager(
         self, manager: SlotListManager, label: str
-    ) -> "TracedSlotListManager":
-        """Trace a standalone slot manager (e.g. the chip model's)."""
-        return TracedSlotListManager.adopt(manager, self, label)
+    ) -> SlotListManager:
+        """Trace a slot manager (e.g. the chip model's).
+
+        Adopting an already adopted manager relabels it, dropping the
+        counter registered under the old label.
+        """
+        if observe(manager, self, ObservedSlotListManager, "trace slot manager"):
+            self._managers[manager] = _SlotMetrics(
+                label, self.metrics.counter("slot_retires_total", buffer=label)
+            )
+            return manager
+        record = self._managers[manager]
+        if label != record.label:
+            self.metrics.drop("counter", "slot_retires_total", buffer=record.label)
+            record.label = label
+            record.retires = self.metrics.counter("slot_retires_total", buffer=label)
+        return manager
 
     def adopt_arbiter(self, arbiter: Scheduler, label: str) -> Scheduler:
-        """Install the matching traced subclass onto a live scheduler.
+        """Trace a scheduler's grants and denies.
 
-        Works for the paper's :class:`CrossbarArbiter` and for every
-        scheduling discipline in the architecture zoo: the traced
-        subclass is looked up by exact type, same as buffer adoption.
+        Works for the paper's :class:`~repro.switch.arbiter.CrossbarArbiter`
+        and for every scheduling discipline in the architecture zoo;
+        adopting it again is a no-op.
         """
-        if isinstance(arbiter, _SchedulerTelemetry):
-            return arbiter
-        traced_class = _TRACED_SCHEDULER_CLASSES.get(type(arbiter))
-        if traced_class is None:
-            raise ConfigurationError(
-                f"cannot trace arbiter of type {type(arbiter).__name__}; "
-                f"expected one of "
-                f"{sorted(cls.__name__ for cls in _TRACED_SCHEDULER_CLASSES)}"
+        if observe(arbiter, self, ObservedScheduler, "trace arbiter"):
+            self._arbiters[arbiter] = _ArbiterMetrics(
+                label,
+                [
+                    self.metrics.counter("arbiter_grants_total", switch=label, input=i)
+                    for i in range(arbiter.num_inputs)
+                ],
+                [
+                    self.metrics.counter("arbiter_denies_total", switch=label, input=i)
+                    for i in range(arbiter.num_inputs)
+                ],
             )
-        arbiter.__class__ = traced_class
-        arbiter._tel = self  # type: ignore[attr-defined]
-        arbiter._tel_label = label  # type: ignore[attr-defined]
-        arbiter._tel_grants = [  # type: ignore[attr-defined]
-            self.metrics.counter("arbiter_grants_total", switch=label, input=i)
-            for i in range(arbiter.num_inputs)
-        ]
-        arbiter._tel_denies = [  # type: ignore[attr-defined]
-            self.metrics.counter("arbiter_denies_total", switch=label, input=i)
-            for i in range(arbiter.num_inputs)
-        ]
-        self._arbiters.append(arbiter)
         return arbiter
 
     def adopt_chip(self, chip: ComCoBBChip) -> ComCoBBChip:
         """Instrument a ComCoBB chip: slot managers and both port FSMs.
 
         The chip drives its own clock (its phase methods receive the
-        cycle), so the traced ports stamp the session's cycle themselves
+        cycle), so port events stamp the session's cycle themselves
         rather than relying on a simulator calling :meth:`begin_cycle`.
         """
+        from repro.chip.observed import ObservedInputPort, ObservedOutputPort
+
         for port, buffer in enumerate(chip.buffers):
             self.adopt_slot_manager(buffer.lists, f"{chip.name}.in{port}")
         for input_port in chip.input_ports:
-            if isinstance(input_port, TracedInputPort):
-                continue
-            if type(input_port) is not InputPort:
-                raise ConfigurationError(
-                    f"cannot trace input port of type "
-                    f"{type(input_port).__name__}"
+            if observe(input_port, self, ObservedInputPort, "trace input port"):
+                self._ports[input_port] = self.metrics.counter(
+                    "chip_packets_received_total", port=input_port.name
                 )
-            input_port.__class__ = TracedInputPort
-            input_port._tel = self  # type: ignore[attr-defined]
-            input_port._tel_label = input_port.name  # type: ignore[attr-defined]
-            input_port._tel_rx = self.metrics.counter(  # type: ignore[attr-defined]
-                "chip_packets_received_total", port=input_port.name
-            )
-            input_port._tel_seen = input_port.packets_received  # type: ignore[attr-defined]
         for output_port in chip.output_ports:
-            if isinstance(output_port, TracedOutputPort):
-                continue
-            if type(output_port) is not OutputPort:
-                raise ConfigurationError(
-                    f"cannot trace output port of type "
-                    f"{type(output_port).__name__}"
+            if observe(output_port, self, ObservedOutputPort, "trace output port"):
+                self._ports[output_port] = self.metrics.counter(
+                    "chip_packets_sent_total", port=output_port.name
                 )
-            output_port.__class__ = TracedOutputPort
-            output_port._tel = self  # type: ignore[attr-defined]
-            output_port._tel_label = output_port.name  # type: ignore[attr-defined]
-            output_port._tel_tx = self.metrics.counter(  # type: ignore[attr-defined]
-                "chip_packets_sent_total", port=output_port.name
-            )
         return chip
 
+    def adopt_network(self, simulator: OmegaNetworkSimulator) -> None:
+        """Trace every arbiter and link of an observed Omega network."""
+        metrics = self.metrics
+        self._blocks = {}
+        for stage, row in enumerate(simulator.switches):
+            for index, switch in enumerate(row):
+                label = f"stage{stage}.switch{index}"
+                self.adopt_arbiter(switch.arbiter, label)
+                self._blocks[label] = metrics.counter(
+                    "flow_control_blocks_total", switch=label
+                )
+        self._links = [
+            metrics.counter("link_transfers_total", stage=stage)
+            for stage in range(len(simulator.switches))
+        ]
+        self._delivered = _pair(metrics, "delivered")
+        self._lost = _pair(metrics, "lost")
+        self._discarded = _pair(metrics, "discarded")
 
-class TracedSlotListManager(SlotListManager):
-    """Slot manager emitting alloc/free/retire events.
+    # -- component events --------------------------------------------------
 
-    Installed over a live :class:`SlotListManager` by :meth:`adopt`; the
-    overrides sit on the same three choke points the sanitizer uses
-    (``allocate``, ``_append_free``, ``retire_slot``), so the datapath
-    operations stay the inherited, hardware-faithful code.
-    """
+    def on_allocate(self, manager: SlotListManager, list_id: int, slot: int) -> None:
+        label = self._managers[manager].label
+        self.emit("alloc", label, list_id, slot, manager.free_count)
 
-    # Adoption-time attributes (no __init__ of its own: instances are
-    # created by __class__ reassignment, preserving live state).
-    _tel: TraceSession
-    _tel_label: str
-    _tel_retires: Counter
+    def on_free(self, manager: SlotListManager, slot: int) -> None:
+        self.emit("free", self._managers[manager].label, -1, slot, manager.free_count)
 
-    @classmethod
-    def adopt(
-        cls,
-        manager: SlotListManager,
-        session: TraceSession,
-        label: str,
-    ) -> "TracedSlotListManager":
-        """Swap a live manager's class and bind its metrics."""
-        if isinstance(manager, cls):
-            manager.relabel(label)
-            return manager
-        if type(manager) is not SlotListManager:
-            raise ConfigurationError(
-                f"cannot trace slot manager of type {type(manager).__name__}"
-            )
-        manager.__class__ = cls
-        adopted: "TracedSlotListManager" = manager  # type: ignore[assignment]
-        adopted._tel = session
-        adopted._tel_label = label
-        adopted._tel_retires = session.metrics.counter(
-            "slot_retires_total", buffer=label
-        )
-        session._managers.append(adopted)
-        return adopted
+    def on_retire(self, manager: SlotListManager, slot: int) -> None:
+        record = self._managers[manager]
+        record.retires.inc()
+        self.emit("retire", record.label, -1, slot, manager.free_count)
 
-    def relabel(self, label: str) -> None:
-        """Rename this manager (drops the zero-valued old counter)."""
-        if label == self._tel_label:
-            return
-        self._tel.metrics.drop(
-            "counter", "slot_retires_total", buffer=self._tel_label
-        )
-        self._tel_label = label
-        self._tel_retires = self._tel.metrics.counter(
-            "slot_retires_total", buffer=label
+    def on_push(self, buffer: SwitchBuffer, packet: Packet, destination: int) -> None:
+        record = self._buffers[buffer]
+        record.enqueues.value += 1
+        occupancy = buffer.occupancy
+        record.occupancy.stats.add(occupancy)
+        free = buffer.effective_capacity - occupancy
+        record.free.set(free)
+        self.emit(
+            "enqueue", record.label, destination, buffer.queue_length(destination), free
         )
 
-    def allocate(self, list_id: int) -> int:
-        slot = super().allocate(list_id)
-        self._tel.emit("alloc", self._tel_label, list_id, slot, self.free_count)
-        return slot
-
-    def _append_free(self, slot: int) -> None:
-        super()._append_free(slot)
-        self._tel.emit("free", self._tel_label, -1, slot, self.free_count)
-
-    def retire_slot(self, slot: int | None = None) -> int:
-        retired = super().retire_slot(slot)
-        self._tel_retires.inc()
-        self._tel.emit("retire", self._tel_label, -1, retired, self.free_count)
-        return retired
-
-
-class _TraceHooks:
-    """Enqueue/dequeue bookkeeping shared by the four traced buffers.
-
-    A *trailing* mixin (``class TracedX(X, _TraceHooks)``): CPython's
-    ``__class__`` reassignment requires the traced class to have the
-    plain buffer class as leading base, so the overrides live on the
-    concrete subclasses and call these helpers explicitly — the same
-    layout as the sanitizer's ``_PortAccounting``.
-    """
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_enq: Counter
-    _tel_deq: Counter
-    _tel_occ: Histogram
-    _tel_free: Gauge
-
-    def _tel_after_push(self, packet: Packet, destination: int) -> None:
-        self._tel_enq.value += 1
-        occupancy: int = self.occupancy  # type: ignore[attr-defined]
-        self._tel_occ.stats.add(occupancy)
-        free: int = self.effective_capacity - occupancy  # type: ignore[attr-defined]
-        self._tel_free.set(free)
-        self._tel.emit(
-            "enqueue",
-            self._tel_label,
-            destination,
-            self.queue_length(destination),  # type: ignore[attr-defined]
-            free,
+    def on_pop(self, buffer: SwitchBuffer, packet: Packet, destination: int) -> None:
+        record = self._buffers[buffer]
+        record.dequeues.value += 1
+        free = buffer.effective_capacity - buffer.occupancy
+        record.free.set(free)
+        self.emit(
+            "dequeue", record.label, destination, buffer.queue_length(destination), free
         )
 
-    def _tel_after_pop(self, packet: Packet, destination: int) -> None:
-        self._tel_deq.value += 1
-        occupancy: int = self.occupancy  # type: ignore[attr-defined]
-        free: int = self.effective_capacity - occupancy  # type: ignore[attr-defined]
-        self._tel_free.set(free)
-        self._tel.emit(
-            "dequeue",
-            self._tel_label,
-            destination,
-            self.queue_length(destination),  # type: ignore[attr-defined]
-            free,
-        )
-
-
-class TracedFifoBuffer(FifoBuffer, _TraceHooks):
-    """FIFO buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedSamqBuffer(SamqBuffer, _TraceHooks):
-    """SAMQ buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedSafcBuffer(SafcBuffer, _TraceHooks):
-    """SAFC buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedDamqBuffer(DamqBuffer, _TraceHooks):
-    """DAMQ buffer emitting enqueue/dequeue (and, via its traced slot
-    manager, alloc/free/retire) telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedDamqReservedBuffer(DamqReservedBuffer, _TraceHooks):
-    """Reserved-slot DAMQ buffer emitting enqueue/dequeue (and, via its
-    traced slot manager, alloc/free/retire) telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedCrosspointBuffer(CrosspointBuffer, _TraceHooks):
-    """Crosspoint-queued buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-#: Plain class -> traced subclass, for ``__class__`` adoption.
-_TRACED_BUFFER_CLASSES: dict[type[SwitchBuffer], type[SwitchBuffer]] = {
-    FifoBuffer: TracedFifoBuffer,
-    SamqBuffer: TracedSamqBuffer,
-    SafcBuffer: TracedSafcBuffer,
-    DamqBuffer: TracedDamqBuffer,
-    DamqReservedBuffer: TracedDamqReservedBuffer,
-    CrosspointBuffer: TracedCrosspointBuffer,
-}
-
-
-class _SchedulerTelemetry:
-    """Grant/deny bookkeeping shared by the traced schedulers.
-
-    A *deny* is recorded for every input that held at least one buffered
-    packet this cycle but received no grant — the quantity the paper's
-    fairness discussion reasons about.  The scheduling decision itself
-    is entirely the inherited code; telemetry reads the same
-    queue-length rows the scheduler used (buffer state is constant
-    during arbitration, pops happen at execution).
-
-    A trailing mixin, same layout as :class:`_TraceHooks`: the
-    ``arbitrate`` overrides live on the concrete traced classes (they
-    must shadow the plain implementations, which sit earlier in the
-    MRO) and call :meth:`_tel_record` explicitly.
-    """
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_grants: list[Counter]
-    _tel_denies: list[Counter]
-
-    num_inputs: int
-
-    def _tel_record(
-        self, rows: Sequence[list[int]], grants: list[Grant]
+    def on_arbitrate(
+        self, scheduler: Scheduler, rows: Sequence[list[int]], grants: list[Grant]
     ) -> None:
-        session = self._tel
-        label = self._tel_label
-        served = [False] * self.num_inputs
+        """Record grants, and a *deny* for every waiting input left unserved.
+
+        A deny is the quantity the paper's fairness discussion reasons
+        about: an input holding at least one buffered packet this cycle
+        that received no grant.
+        """
+        record = self._arbiters[scheduler]
+        served = [False] * scheduler.num_inputs
         for grant in grants:
             served[grant.input_port] = True
-            self._tel_grants[grant.input_port].value += 1
-            session.emit(
-                "grant", label, grant.input_port, grant.output_port,
+            record.grants[grant.input_port].value += 1
+            self.emit(
+                "grant", record.label, grant.input_port, grant.output_port,
                 grant.packet.size,
             )
         for input_port, row in enumerate(rows):
@@ -550,109 +367,113 @@ class _SchedulerTelemetry:
                 continue
             longest = max(row)
             if longest > 0:
-                self._tel_denies[input_port].value += 1
-                session.emit("deny", label, input_port, longest)
+                record.denies[input_port].value += 1
+                self.emit("deny", record.label, input_port, longest)
 
+    def on_receive(self, port: InputPort, cycle: int, count: int) -> None:
+        self.cycle = cycle
+        self._ports[port].value += count
+        self.emit("link", port.name, port.port_id, count)
 
-class TracedCrossbarArbiter(CrossbarArbiter, _SchedulerTelemetry):
-    """Crossbar arbiter emitting grant/deny telemetry."""
+    def on_send(self, port: OutputPort, cycle: int) -> None:
+        self.cycle = cycle
+        self._ports[port].value += 1
+        self.emit("link", port.name, port.port_id, 1)
 
-    def arbitrate(
-        self,
-        buffers: Sequence[SwitchBuffer],
-        blocked: BlockedPredicate,
-        lengths: Sequence[list[int]] | None = None,
-    ) -> list[Grant]:
-        rows = (
-            lengths
-            if lengths is not None
-            else [buffer.queue_lengths() for buffer in buffers]
+    # -- network events ----------------------------------------------------
+
+    def on_block(
+        self, label: str, input_port: int, output_port: int, blocked: bool
+    ) -> None:
+        if blocked:
+            self._blocks[label].value += 1
+        self.emit(
+            "block" if blocked else "unblock",
+            f"{label}.in{input_port}",
+            output_port,
+            int(blocked),
         )
-        grants = super().arbitrate(buffers, blocked, rows)
-        self._tel_record(rows, grants)
-        return grants
 
+    def on_link(self, stage: int, label: str, output_port: int, packet: Packet) -> None:
+        self._links[stage].value += 1
+        self.emit("link", label, output_port, packet.size, packet.packet_id)
 
-class TracedCrosspointScheduler(CrosspointScheduler, _SchedulerTelemetry):
-    """Per-output crosspoint scheduler emitting grant/deny telemetry."""
+    def on_loss(
+        self, label: str, output_port: int, packet: Packet, measured: bool
+    ) -> None:
+        _tally(self._lost, measured)
+        self.emit("loss", label, output_port, packet.size, packet.packet_id)
 
-    def arbitrate(
-        self,
-        buffers: Sequence[SwitchBuffer],
-        blocked: BlockedPredicate,
-        lengths: Sequence[list[int]] | None = None,
-    ) -> list[Grant]:
-        rows = (
-            lengths
-            if lengths is not None
-            else [buffer.queue_lengths() for buffer in buffers]
+    def on_deliver(self, stage: int, port: int, packet: Packet, measured: bool) -> None:
+        self._links[stage].value += 1
+        _tally(self._delivered, measured)
+        self.emit("deliver", "network", port, packet.size, packet.packet_id)
+
+    def on_drop(self, packet: Packet, measured: bool) -> None:
+        _tally(self._discarded, measured)
+        self.emit("drop", "network", -1, packet.size, packet.packet_id)
+
+    # -- export --------------------------------------------------------------
+
+    def export(
+        self, directory: str | Path, config: NetworkConfig, cycles: int
+    ) -> list[Path]:
+        """Write the VCD, Chrome trace and metrics files of one run.
+
+        File names derive deterministically from the config
+        (:func:`config_tag`); re-exporting the same run overwrites the
+        same files.  In metrics-only mode (ring capacity 0) only the
+        metrics document is written.
+        """
+        target = Path(directory)
+        target.mkdir(parents=True, exist_ok=True)
+        tag = config_tag(config)
+        written: list[Path] = []
+        events = self.ring.events()
+        if self.ring.capacity > 0:
+            written.append(
+                write_vcd(
+                    events,
+                    target / f"{tag}.vcd",
+                    cycle_clocks=config.cycle_clocks,
+                )
+            )
+            written.append(
+                write_chrome_trace(
+                    events,
+                    target / f"{tag}.trace.json",
+                    cycle_clocks=config.cycle_clocks,
+                )
+            )
+        document = {
+            "format": METRICS_VERSION,
+            "tag": tag,
+            "config": config.to_state(),
+            "cycles": cycles,
+            "events_emitted": self.ring.emitted,
+            "events_dropped": self.ring.dropped,
+            "metrics": self.metrics.snapshot_state(),
+        }
+        metrics_path = target / f"{tag}.metrics.json"
+        scratch = metrics_path.with_name(
+            f"{metrics_path.name}.tmp{os.getpid()}"
         )
-        grants = super().arbitrate(buffers, blocked, rows)
-        self._tel_record(rows, grants)
-        return grants
+        scratch.write_text(json.dumps(document))
+        os.replace(scratch, metrics_path)
+        written.append(metrics_path)
+        return written
 
 
-class TracedIterativeScheduler(IterativeScheduler, _SchedulerTelemetry):
-    """iSLIP-style iterative scheduler emitting grant/deny telemetry."""
-
-    def arbitrate(
-        self,
-        buffers: Sequence[SwitchBuffer],
-        blocked: BlockedPredicate,
-        lengths: Sequence[list[int]] | None = None,
-    ) -> list[Grant]:
-        rows = (
-            lengths
-            if lengths is not None
-            else [buffer.queue_lengths() for buffer in buffers]
-        )
-        grants = super().arbitrate(buffers, blocked, rows)
-        self._tel_record(rows, grants)
-        return grants
+def _pair(metrics: MetricsRegistry, name: str) -> tuple[Counter, Counter]:
+    """The (total, measured-window) counters of one packet fate."""
+    return (
+        metrics.counter(f"packets_{name}_total"),
+        metrics.counter(f"packets_{name}_measured"),
+    )
 
 
-#: Plain scheduler class -> traced subclass, for ``__class__`` adoption.
-_TRACED_SCHEDULER_CLASSES: dict[type[Scheduler], type[Scheduler]] = {
-    CrossbarArbiter: TracedCrossbarArbiter,
-    CrosspointScheduler: TracedCrosspointScheduler,
-    IterativeScheduler: TracedIterativeScheduler,
-}
-
-
-class TracedInputPort(InputPort):
-    """Chip input port emitting a link event per completed packet.
-
-    The receive FSM increments ``packets_received`` deep inside its state
-    handlers; rather than shadowing those, the traced port diffs the
-    counter once per ``sample`` phase — the single per-cycle entry point.
-    """
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_rx: Counter
-    _tel_seen: int
-
-    def sample(self, cycle: int) -> None:
-        super().sample(cycle)
-        arrived = self.packets_received - self._tel_seen
-        if arrived:
-            self._tel_seen = self.packets_received
-            self._tel.cycle = cycle
-            self._tel_rx.value += arrived
-            self._tel.emit("link", self._tel_label, self.port_id, arrived)
-
-
-class TracedOutputPort(OutputPort):
-    """Chip output port emitting a link event per completed transmission."""
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_tx: Counter
-
-    def _disconnect(self, cycle: int) -> None:
-        before = self.packets_sent
-        super()._disconnect(cycle)
-        if self.packets_sent != before:
-            self._tel.cycle = cycle
-            self._tel_tx.value += 1
-            self._tel.emit("link", self._tel_label, self.port_id, 1)
+def _tally(pair: tuple[Counter, Counter], measured: bool) -> None:
+    """Count one packet in a (total, measured-window) counter pair."""
+    pair[0].value += 1
+    if measured:
+        pair[1].value += 1

@@ -128,22 +128,53 @@ def test_pins_survive_architecture_zoo_registration(name):
     assert checksum(simulator.meters) == pin["expected"]
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_sanitized_run_matches_pins_exactly(name, monkeypatch):
+#: Each pin under REPRO_SANITIZE=1 alone (the bare pin name as id) and
+#: combined with full tracing or metrics-only telemetry.
+SANITIZED_MODES = [
+    pytest.param(name, telemetry, id=f"{name}+{telemetry}" if telemetry else name)
+    for name in sorted(PINNED)
+    for telemetry in ("", "REPRO_TRACE", "REPRO_METRICS")
+]
+
+
+def sanitize_with(monkeypatch, telemetry):
+    """Enable the sanitizer plus (optionally) one telemetry variable."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    for variable in ("REPRO_TRACE", "REPRO_METRICS"):
+        monkeypatch.delenv(variable, raising=False)
+    if telemetry:
+        monkeypatch.setenv(telemetry, "1")
+
+
+def assert_buffer_counters_reconcile(simulator):
+    """Per-buffer enqueue/dequeue counters match what the network holds."""
+    metrics = simulator.session.metrics
+    enqueued = metrics.value("buffer_enqueues_total")
+    dequeued = metrics.value("buffer_dequeues_total")
+    assert enqueued - dequeued == simulator.total_buffered_packets
+    assert metrics.value("arbiter_grants_total") == dequeued
+    assert metrics.value("packets_delivered_measured") == simulator.meters.delivered
+
+
+@pytest.mark.parametrize("name, telemetry", SANITIZED_MODES)
+def test_sanitized_run_matches_pins_exactly(name, telemetry, monkeypatch):
     """REPRO_SANITIZE=1 must not perturb a single bit of the results.
 
-    The sanitizer instruments the buffers via ``__class__`` adoption —
+    The sanitizer observes the buffers through the observed layer —
     bookkeeping only, no change to the datapath — so the exact Welford
     state of every meter must match the plain-run pins, and a healthy
-    model must produce zero violations.
+    model must produce zero violations.  The same holds with telemetry
+    attached as a second observer, whose counters must reconcile.
     """
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sanitize_with(monkeypatch, telemetry)
     pin = PINNED[name]
     simulator = make_simulator(NetworkConfig(**pin["config"]))
     assert simulator.sanitizer is not None
     simulator.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
     assert checksum(simulator.meters) == pin["expected"]
     assert simulator.sanitizer.clean, simulator.sanitizer.render()
+    if telemetry:
+        assert_buffer_counters_reconcile(simulator)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -270,17 +301,20 @@ def test_traced_snapshot_restores_into_plain_simulator(name, monkeypatch):
     assert checksum(resumed.meters) == pin["expected"]
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_sanitized_snapshot_restore_matches_pins_exactly(name, monkeypatch):
+@pytest.mark.parametrize("name, telemetry", SANITIZED_MODES)
+def test_sanitized_snapshot_restore_matches_pins_exactly(
+    name, telemetry, monkeypatch
+):
     """Snapshot under REPRO_SANITIZE=1, restore sanitized, hit the pins.
 
     Snapshots are sanitizer-agnostic: one taken by an instrumented
     simulator restores into another instrumented simulator (whose slot
     lifecycle state is re-derived from the restored register files) and
     the continued run must match the plain-run pins exactly, with zero
-    violations reported.
+    violations reported — and, with telemetry attached too, with the
+    restored per-buffer counters reconciling.
     """
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sanitize_with(monkeypatch, telemetry)
     pin = PINNED[name]
     simulator = make_simulator(NetworkConfig(**pin["config"]))
     for _ in range(137):
@@ -292,3 +326,5 @@ def test_sanitized_snapshot_restore_matches_pins_exactly(name, monkeypatch):
     resumed.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
     assert checksum(resumed.meters) == pin["expected"]
     assert resumed.sanitizer.clean, resumed.sanitizer.render()
+    if telemetry:
+        assert_buffer_counters_reconcile(resumed)

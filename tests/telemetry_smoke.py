@@ -44,8 +44,9 @@ from repro.network.simulator import (  # noqa: E402
     OmegaNetworkSimulator,
     make_simulator,
 )
+from repro.observed import ObservedOmegaNetworkSimulator  # noqa: E402
 from repro.telemetry import (  # noqa: E402
-    TracedOmegaNetworkSimulator,
+    TraceSession,
     read_vcd,
     render_report,
     validate_chrome_trace,
@@ -81,7 +82,9 @@ def check_traced_run(export_dir: Path) -> None:
     plain = OmegaNetworkSimulator(CONFIG)
     plain.run(WARMUP, MEASURE)
 
-    traced = TracedOmegaNetworkSimulator(CONFIG, export_dir=export_dir)
+    traced = ObservedOmegaNetworkSimulator(
+        CONFIG, session=TraceSession(), export_dir=export_dir
+    )
     traced.run(WARMUP, MEASURE)
 
     if traced.meters.latency.get_state() != plain.meters.latency.get_state():

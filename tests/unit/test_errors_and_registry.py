@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.kernel.bench import load_kernel_bench
+from repro.network.simulator import load_checkpoint
+from repro.perf.harness import load_bench
+
 from repro.core.registry import (
     BUFFER_TYPES,
     PAPER_ORDER,
@@ -47,6 +51,20 @@ class TestErrorHierarchy:
             except ReproError as error:
                 caught.append(type(error))
         assert caught == [BufferFullError, RoutingError, ProtocolError]
+
+    @pytest.mark.parametrize(
+        "loader", [load_checkpoint, load_bench, load_kernel_bench]
+    )
+    @pytest.mark.parametrize(
+        "content", ['{"format": 1, "sta', "[1, 2]"], ids=["truncated", "array"]
+    )
+    def test_malformed_json_files_raise_a_typed_error(
+        self, loader, content, tmp_path
+    ):
+        path = tmp_path / "document.json"
+        path.write_text(content)
+        with pytest.raises(ConfigurationError, match=str(path)):
+            loader(path)
 
 
 class TestRegistry:

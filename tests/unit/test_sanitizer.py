@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.sanitizer import (
     HardwareSanitizer,
-    SanitizedSlotListManager,
     sanitize_enabled,
 )
 from repro.core.damq import DamqBuffer
@@ -21,6 +20,8 @@ from repro.core.linkedlist import NO_SLOT, SlotListManager
 from repro.core.packet import Packet
 from repro.core.safc import SafcBuffer
 from repro.errors import ConfigurationError, SanitizerError
+from repro.observed import ObservedSlotListManager
+from repro.telemetry import TraceSession
 
 
 def make_manager(num_slots=8, num_lists=4):
@@ -44,7 +45,7 @@ class TestAdoption:
         sanitizer = HardwareSanitizer()
         adopted = sanitizer.adopt_slot_manager(manager, "bufA")
         assert adopted is manager
-        assert isinstance(manager, SanitizedSlotListManager)
+        assert isinstance(manager, ObservedSlotListManager)
         assert manager.slots(0) == [first]
         assert manager.slots(1) == [second]
         assert manager.free_count == 6
@@ -74,6 +75,29 @@ class TestAdoption:
         again = sanitizer.adopt_slot_manager(manager, "renamed")
         assert again is manager
         assert len(sanitizer._managers) == 1
+
+    def test_second_observers_see_events_and_scan(self):
+        # Adopting an observed manager again attaches the new observer
+        # next to the first.
+        first, manager = make_manager()
+        second = HardwareSanitizer()
+        assert second.adopt_slot_manager(manager, "bufA") is manager
+        sessions = [TraceSession(), TraceSession()]
+        for session in sessions:
+            session.adopt_slot_manager(manager, "bufA")
+        manager.allocate(0)
+        manager.release_head(0)
+        for session in sessions:
+            assert [event.kind for event in session.ring] == ["alloc", "free"]
+        looped = manager.allocate(0)
+        manager._next[looped] = looped  # plant a pointer cycle on list 0
+        for sanitizer in (first, second):
+            assert len(sanitizer._managers) == 1
+            sanitizer.scan()
+            assert any(
+                violation.kind == "pointer-cycle"
+                for violation in sanitizer.violations
+            )
 
     def test_foreign_subclass_rejected(self):
         class Custom(SlotListManager):
@@ -226,7 +250,7 @@ class TestPortBudget:
     def test_damq_buffer_adoption_also_sanitizes_its_slot_manager(self):
         sanitizer = HardwareSanitizer()
         buffer = sanitizer.adopt_buffer(DamqBuffer(8, 4), label="damq0")
-        assert isinstance(buffer._lists, SanitizedSlotListManager)
+        assert isinstance(buffer._lists, ObservedSlotListManager)
         buffer._lists._next[5] = 5  # free-list self-loop
         sanitizer.scan()
         assert any(
@@ -243,7 +267,7 @@ class TestArchZooAdoption:
         buffer = sanitizer.adopt_buffer(
             DamqReservedBuffer(8, 4, reserved=1), label="rsv0"
         )
-        assert isinstance(buffer._lists, SanitizedSlotListManager)
+        assert isinstance(buffer._lists, ObservedSlotListManager)
         for cycle in range(4):
             sanitizer.begin_cycle(cycle)
             buffer.push(packet(cycle, destination=cycle), cycle)

@@ -14,12 +14,12 @@ import pytest
 from repro.chip import ChipNetwork
 from repro.errors import ConfigurationError
 from repro.network.simulator import NetworkConfig
+from repro.observed import ObservedOmegaNetworkSimulator
 from repro.telemetry import (
     EventRing,
     MetricsRegistry,
     TraceEvent,
     TraceSession,
-    TracedOmegaNetworkSimulator,
     config_tag,
     jain_fairness,
     read_vcd,
@@ -233,7 +233,7 @@ class TestTracedSimulator:
 
     @pytest.fixture(scope="class")
     def traced(self):
-        simulator = TracedOmegaNetworkSimulator(self.CONFIG)
+        simulator = ObservedOmegaNetworkSimulator(self.CONFIG, session=TraceSession())
         simulator.run(warmup_cycles=0, measure_cycles=200)
         return simulator
 
@@ -296,7 +296,7 @@ class TestTracedSimulator:
 
 class TestMetricsOnlyMode:
     def test_ring_empty_but_counters_complete(self):
-        simulator = TracedOmegaNetworkSimulator(
+        simulator = ObservedOmegaNetworkSimulator(
             NetworkConfig(num_ports=16, radix=4, offered_load=0.5, seed=3),
             session=TraceSession(capacity=0),
         )
@@ -306,7 +306,7 @@ class TestMetricsOnlyMode:
         assert simulator.session.metrics.value("buffer_enqueues_total") > 0
 
     def test_export_writes_only_the_metrics_document(self, tmp_path):
-        simulator = TracedOmegaNetworkSimulator(
+        simulator = ObservedOmegaNetworkSimulator(
             NetworkConfig(num_ports=16, radix=4, offered_load=0.5, seed=3),
             session=TraceSession(capacity=0),
         )
@@ -358,18 +358,15 @@ class TestArchZooTracing:
             CrosspointScheduler,
             IterativeScheduler,
         )
-        from repro.telemetry.session import (
-            TracedCrosspointScheduler,
-            TracedIterativeScheduler,
-        )
+        from repro.observed import ObservedScheduler
 
         session = TraceSession()
         lqf = session.adopt_arbiter(CrosspointScheduler(2, 2), "sw0")
         islip = session.adopt_arbiter(
             IterativeScheduler(2, 2, iterations=2), "sw1"
         )
-        assert isinstance(lqf, TracedCrosspointScheduler)
-        assert isinstance(islip, TracedIterativeScheduler)
+        assert isinstance(lqf, ObservedScheduler)
+        assert isinstance(islip, ObservedScheduler)
         # Re-adoption is a no-op on the same live object.
         assert session.adopt_arbiter(lqf, "sw0") is lqf
 
@@ -421,21 +418,17 @@ class TestArchZooTracing:
     def test_arch_buffers_are_traceable(self):
         from repro.arch import CrosspointBuffer, DamqReservedBuffer
         from repro.core.packet import Packet
-        from repro.telemetry.session import (
-            TracedCrosspointBuffer,
-            TracedDamqReservedBuffer,
-            TracedSlotListManager,
-        )
+        from repro.observed import ObservedBuffer, ObservedSlotListManager
 
         session = TraceSession()
         reserved = session.adopt_buffer(
             DamqReservedBuffer(8, 4, reserved=1), "rsv0"
         )
         crosspoint = session.adopt_buffer(CrosspointBuffer(8, 4), "cq0")
-        assert isinstance(reserved, TracedDamqReservedBuffer)
-        assert isinstance(crosspoint, TracedCrosspointBuffer)
+        assert isinstance(reserved, ObservedBuffer)
+        assert isinstance(crosspoint, ObservedBuffer)
         # The reserved DAMQ inherits the slot-manager adoption path.
-        assert isinstance(reserved._lists, TracedSlotListManager)
+        assert isinstance(reserved._lists, ObservedSlotListManager)
         crosspoint.push(Packet(packet_id=0, source=0, destination=2), 2)
         assert crosspoint.pop(2).packet_id == 0
         assert session.metrics.value("buffer_enqueues_total") == 1

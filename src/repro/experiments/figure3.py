@@ -9,7 +9,8 @@ to the right of the FIFO's.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentResult, sim_cycles
-from repro.network import NetworkConfig, latency_throughput_curve
+from repro.network import NetworkConfig
+from repro.network.saturation import latency_throughput_curves
 from repro.switch.flow_control import Protocol
 from repro.utils.tables import TextTable, format_value
 
@@ -75,11 +76,12 @@ def run(
         "Curve points",
         ["Buffer", "offered", "delivered", "latency (cycles)", "±95%"],
     )
-    for kind in _KINDS:
-        curve = latency_throughput_curve(
-            base.with_overrides(buffer_kind=kind), loads, warmup, measure,
-            jobs=jobs,
-        )
+    # Both curves in one sweep, so the numpy backend runs them as one batch.
+    sweeps = latency_throughput_curves(
+        [base.with_overrides(buffer_kind=kind) for kind in _KINDS],
+        loads, warmup, measure, jobs=jobs,
+    )
+    for kind, curve in zip(_KINDS, sweeps):
         curves[kind] = curve
         for point in curve:
             table.add_row(

@@ -2,7 +2,8 @@
 
 Examples::
 
-    # Lockstep per-cycle equivalence check of the CI smoke grid:
+    # Lockstep per-cycle equivalence check of the CI smoke grid, run
+    # alone and then fused into numpy batches:
     python -m repro.kernel diff --ci
 
     # Diff one configuration, dumping a replayable counterexample on
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from repro.experiments.report import QUICK_MEASURE, QUICK_WARMUP
 from repro.kernel.bench import run_kernel_bench, write_kernel_bench
-from repro.kernel.differential import diff_kernels
+from repro.kernel.differential import diff_batch, diff_kernels
 from repro.network.simulator import NetworkConfig
 from repro.switch.flow_control import Protocol
 
@@ -66,14 +67,14 @@ def _diff_main(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         ]
+    window = {
+        "warmup_cycles": args.warmup,
+        "measure_cycles": args.measure,
+        "compare_every": args.every,
+    }
     failures = 0
     for config in configs:
-        report = diff_kernels(
-            config,
-            warmup_cycles=args.warmup,
-            measure_cycles=args.measure,
-            compare_every=args.every,
-        )
+        report = diff_kernels(config, **window)
         print(report.describe())
         if report.ok:
             continue
@@ -87,14 +88,41 @@ def _diff_main(args: argparse.Namespace) -> int:
                 + "\n"
             )
             print(f"  counterexample written to {path}")
+    if args.ci:
+        failures += _diff_fused(configs, window)
     if failures:
         print(
-            f"{failures}/{len(configs)} configurations diverged",
+            f"{failures} runs diverged over {len(configs)} configurations"
+            + (", each run alone and fused" if args.ci else ""),
             file=sys.stderr,
         )
         return 1
     print(f"all {len(configs)} configurations equivalent")
     return 0
+
+
+def _diff_fused(configs: list[NetworkConfig], window: dict[str, int]) -> int:
+    """Re-check ``configs`` fused by batch group; count diverged members."""
+    from repro.kernel.numpy_kernel import batch_group_key
+
+    groups: dict[tuple[object, ...], list[NetworkConfig]] = {}
+    for config in configs:
+        groups.setdefault(batch_group_key(config), []).append(config)
+    failures = 0
+    for members in groups.values():
+        reports = diff_batch(members, **window)
+        diverged = [report for report in reports if not report.ok]
+        kinds = ", ".join(config.buffer_kind for config in members)
+        compared = max(report.cycles_compared for report in reports)
+        print(
+            f"fused batch of {len(members)} ({kinds}): "
+            f"{len(members) - len(diverged)}/{len(members)} members match "
+            f"their reference kernels on {compared} compared cycles"
+        )
+        for report in diverged:
+            print(f"  {report.describe()}")
+        failures += len(diverged)
+    return failures
 
 
 def _bench_main(args: argparse.Namespace) -> int:
@@ -137,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         "--ci",
         action="store_true",
         help="run the CI smoke grid (one config per buffer kind, both "
-        "protocols and both arbiter priorities covered)",
+        "protocols and both arbiter priorities covered), each alone and "
+        "then fused into numpy batches",
     )
     diff.add_argument("--kind", default="DAMQ")
     diff.add_argument("--slots", type=int, default=4)

@@ -14,9 +14,10 @@ one experiment's grid (how a single ``run_experiment`` call dispatches
 it).  The headline **aggregate** fuses the whole figure3+table3
 workload — the batch groups span experiments, since the group key
 keeps neither protocol nor buffer kind (both are per-virtual-stage
-state), so the quick workload collapses to just two kernels (FIFO ring
-layout + shared ring layout) and the array dispatch cost amortizes over
-all 26 simulations at once, exactly as one fused sweep would run it.
+state, and every kind shares one queue-ring layout), so the quick
+workload collapses to a single kernel and the array dispatch cost
+amortizes over all 26 simulations at once, exactly as one fused sweep
+would run it.
 
 Results land in ``benchmarks/BENCH_9[_quick].json`` with per-backend
 wall/throughput fields; ``python -m repro.kernel bench`` is the entry

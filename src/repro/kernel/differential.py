@@ -8,6 +8,8 @@ configuration, compares their canonical state digests
 on the first divergence reports which packed-state entries disagree
 plus a replayable :class:`~repro.analysis.counterexample.Counterexample`
 whose action trace re-drives both kernels to the divergent cycle.
+:func:`diff_batch` holds a fused numpy batch to the same bar: every
+member's packed state against its own reference kernel, every cycle.
 
 The counterexample plugs into the model checker's replay machinery via
 :class:`KernelDiffSystem`, a deterministic transition system registered
@@ -34,6 +36,7 @@ if TYPE_CHECKING:
 __all__ = [
     "DiffReport",
     "KernelDiffSystem",
+    "diff_batch",
     "diff_kernels",
     "first_difference",
 ]
@@ -209,12 +212,7 @@ def diff_kernels(
     :class:`~repro.network.metrics.SimulationResult` digests, which must
     also agree (a safety net over the per-cycle comparison).
     """
-    from repro.utils.digest import digest_json
-
-    if measure_cycles < 1:
-        raise ConfigurationError("measure_cycles must be >= 1")
-    if compare_every < 1:
-        raise ConfigurationError("compare_every must be >= 1")
+    _check_window(measure_cycles, compare_every)
     total = warmup_cycles + measure_cycles
     system = KernelDiffSystem(config, warmup_cycles)
     _key, payload = system.initial()
@@ -245,22 +243,98 @@ def diff_kernels(
                     violation=error.violation,
                 ),
             )
-    result_digests = {
-        "reference": digest_json(
-            reference.finish(warmup_cycles, measure_cycles).to_state()
-        ),
-        "numpy": digest_json(
-            vectorized.finish(warmup_cycles, measure_cycles).to_state()
-        ),
-    }
-    report = DiffReport(
-        config=config,
-        cycles_compared=compared,
-        result_digests=result_digests,
+    report = DiffReport(config=config, cycles_compared=compared)
+    _pin_results(
+        report,
+        reference.finish(warmup_cycles, measure_cycles),
+        vectorized.finish(warmup_cycles, measure_cycles),
+        total,
     )
-    if result_digests["reference"] != result_digests["numpy"]:
+    return report
+
+
+def diff_batch(
+    configs: "list[NetworkConfig]",
+    warmup_cycles: int = 200,
+    measure_cycles: int = 900,
+    compare_every: int = 1,
+) -> list[DiffReport]:
+    """Run one fused numpy batch in lockstep with per-member references.
+
+    ``configs`` must share one
+    :func:`~repro.kernel.numpy_kernel.batch_group_key`.  Every compared
+    cycle, each member's :meth:`~repro.kernel.numpy_kernel.NumpyKernel
+    .packed_state_for` digest must equal its own reference kernel's
+    :meth:`~repro.kernel.base.SimKernel.state_digest`; a diverged
+    member stops being compared while the rest of the batch runs on.
+    Returns one report per member, in input order.  A fused divergence
+    carries no counterexample: its replay would need the whole batch,
+    so re-run the member alone with :func:`diff_kernels` to get one.
+    """
+    from repro.kernel.numpy_kernel import NumpyKernel
+    from repro.utils.digest import digest_json
+
+    _check_window(measure_cycles, compare_every)
+    total = warmup_cycles + measure_cycles
+    fused = NumpyKernel.batch(list(configs))
+    references = [make_kernel(config, "reference") for config in configs]
+    kernels: list[SimKernel] = [fused, *references]
+    for kernel in kernels:
+        kernel.prepare(total)
+    reports = [DiffReport(config=config, cycles_compared=0) for config in configs]
+    for cycle in range(total):
+        for kernel in kernels:
+            if kernel.cycle == warmup_cycles:
+                kernel.begin_measurement()
+            kernel.step()
+        if (cycle + 1) % compare_every and cycle + 1 != total:
+            continue
+        for sim, (reference, report) in enumerate(zip(references, reports)):
+            if not report.ok:
+                continue
+            report.cycles_compared += 1
+            packed = fused.packed_state_for(sim)
+            left = reference.state_digest()
+            right = digest_json(packed)
+            if left != right:
+                report.divergence_cycle = cycle + 1
+                report.divergence_path = first_difference(
+                    reference.packed_state(), packed
+                )
+                report.reference_digest = left
+                report.numpy_digest = right
+    for sim, (reference, report) in enumerate(zip(references, reports)):
+        if report.ok:
+            _pin_results(
+                report,
+                reference.finish(warmup_cycles, measure_cycles),
+                fused.result_for(sim, warmup_cycles, measure_cycles),
+                total,
+            )
+    return reports
+
+
+def _check_window(measure_cycles: int, compare_every: int) -> None:
+    if measure_cycles < 1:
+        raise ConfigurationError("measure_cycles must be >= 1")
+    if compare_every < 1:
+        raise ConfigurationError("compare_every must be >= 1")
+
+
+def _pin_results(
+    report: DiffReport, reference: Any, candidate: Any, total: int
+) -> None:
+    """Record both final results' digests on an equivalent ``report``;
+    differing digests mark it diverged at the last cycle."""
+    from repro.utils.digest import digest_json
+
+    digests = {
+        "reference": digest_json(reference.to_state()),
+        "numpy": digest_json(candidate.to_state()),
+    }
+    report.result_digests = digests
+    if digests["reference"] != digests["numpy"]:
         report.divergence_cycle = total
         report.divergence_path = "result"
-        report.reference_digest = result_digests["reference"]
-        report.numpy_digest = result_digests["numpy"]
-    return report
+        report.reference_digest = digests["reference"]
+        report.numpy_digest = digests["numpy"]

@@ -4,10 +4,12 @@ Where the reference simulator advances one Python object at a time, this
 kernel stores the whole network as a handful of integer arrays and
 advances every switch of a stage per array operation:
 
-* **Queue rings** — each input buffer's per-destination queues live in a
-  ring array ``ring[stage, switch, input, output, slot]`` of packet ids
-  with head/length registers (the FIFO keeps a single ring per input
-  plus the stored local output of every entry).  Packet attributes
+* **Queue rings** — each input buffer's queues live in a ring array
+  ``ring[stage, switch, input, queue, slot]`` of packet ids with
+  head/length registers, one queue per local output.  A FIFO is the
+  one-queue case: its whole buffer is queue 0, and its head packet's
+  local output (re-derived from the packet's destination) says which
+  arbitration column that queue bids for.  Packet attributes
   (destination, creation and injection clocks) live in flat pools
   indexed by packet id.
 * **Vectorized arbitration** — the reference arbiter's
@@ -25,9 +27,9 @@ advances every switch of a stage per array operation:
   decodes each source's raw PCG64 stream up front and injection becomes
   a vectorized countdown against per-source attempt schedules.
 * **Simulation batching** — the quick/full experiment grids run many
-  *structurally identical* configurations (same topology, buffer kind,
-  capacity and protocol; different loads, seeds, arbiter schemes or
-  traffic patterns).  :meth:`NumpyKernel.batch` fuses ``B`` such
+  *structurally identical* configurations (same topology, capacity and
+  clocking; different buffer kinds, protocols, loads, seeds, arbiter
+  schemes or traffic patterns).  :meth:`NumpyKernel.batch` fuses ``B`` such
   simulations into one kernel by widening the stage axis: virtual stage
   ``u = s * B + b`` holds network stage ``s`` of simulation ``b``.
   Simulations never interconnect — the inter-stage wiring offset simply
@@ -89,16 +91,13 @@ def batch_group_key(config: NetworkConfig) -> tuple[Any, ...]:
     """Structural batching key: equal keys may share one kernel.
 
     Configurations in one batch must agree on everything that shapes the
-    arrays — topology, buffer *layout* (the FIFO's shared-ring storage
-    versus the per-destination rings of DAMQ/SAMQ/SAFC), slot count,
-    clocking and effective source queue depth.  Everything else is a
-    per-simulation property: offered load, seed, arbiter scheme,
-    traffic pattern, protocol, flow-control fidelity, and the exact
-    buffer kind within the ring layout — which is how the paper's whole
-    experiment grid collapses into two kernels.
+    arrays — topology, slot count, clocking and effective source queue
+    depth.  Everything else is a per-simulation property: offered load,
+    seed, arbiter scheme, traffic pattern, protocol, flow-control
+    fidelity and buffer kind (every kind shares the queue-ring layout;
+    a FIFO uses one queue of it) — which is how each of the paper's
+    experiment grids runs as one kernel.
     """
-    kind = config.buffer_kind.upper()
-    layout = "FIFO" if kind == "FIFO" else "ring"
     # Mirrors the reference's exact predicate (an enum identity test):
     # a non-enum protocol value disables discard-at-injection there too.
     discard_at_injection = (
@@ -110,7 +109,6 @@ def batch_group_key(config: NetworkConfig) -> tuple[Any, ...]:
     return (
         config.num_ports,
         config.radix,
-        layout,
         config.slots_per_buffer,
         discard_at_injection,
         config.cycle_clocks,
@@ -174,8 +172,6 @@ class NumpyKernel(SimKernel):
                 )
             kinds.append(kind)
         self.kinds = kinds
-        self.kind = kinds[0]
-        self.layout = "FIFO" if kinds[0] == "FIFO" else "ring"
         self.C = config.slots_per_buffer
         cq_list = []
         for kind in kinds:
@@ -214,21 +210,21 @@ class NumpyKernel(SimKernel):
         self._blocking_b = blocking_flags
         self._blocking_any = any(blocking_flags)
         self._blocking_all = all(blocking_flags)
-        self.blocking = blocking_flags[0]
         conservative_flags = [
             blocking_flags[b]
             and cfg.flow_control_fidelity == "conservative"
             and kinds[b] in ("SAMQ", "SAFC")
             for b, cfg in enumerate(configs)
         ]
-        self.conservative = conservative_flags[0]
-        self._conservative_b = conservative_flags
         # Buffer-level room/blocked semantics (whole buffer full) versus
         # queue-level (the destination's partition full).
         buflevel = [kind in ("FIFO", "DAMQ") for kind in kinds]
         self._buflevel_b = buflevel
         self._buflevel_all = all(buflevel)
         self._buflevel_none = not any(buflevel)
+        fifo = [kind == "FIFO" for kind in kinds]
+        self._fifo_any = any(fifo)
+        self._fifo_all = all(fifo)
         self._discard_at_injection = (
             config.protocol is Protocol.DISCARDING
             and config.discard_at_injection
@@ -244,7 +240,7 @@ class NumpyKernel(SimKernel):
         ]
         self.pattern = self.patterns[0]
 
-        B, N, R, S, W, C = self.B, self.N, self.R, self.S, self.W, self.C
+        B, N, R, S, W = self.B, self.N, self.R, self.S, self.W
         Cq = self.CqW
         SV = self.SV
         i64 = np.int64
@@ -291,19 +287,12 @@ class NumpyKernel(SimKernel):
         ) * R + self.entry_i
 
         # Buffer state.  Queue rings hold packet ids; per-queue capacity
-        # is the whole buffer for the dynamically shared kinds and one
-        # partition for the statically partitioned ones.
-        if self.layout == "FIFO":
-            self.fring = np.zeros((SV, W, R, C), dtype=i64)
-            self.fdest = np.zeros((SV, W, R, C), dtype=i64)
-            self.fhead = np.zeros((SV, W, R), dtype=i64)
-            self.flen = np.zeros((SV, W, R), dtype=i64)
-            self.ring = self.qhead = self.qlen = None
-        else:
-            self.ring = np.zeros((SV, W, R, R, Cq), dtype=i64)
-            self.qhead = np.zeros((SV, W, R, R), dtype=i64)
-            self.qlen = np.zeros((SV, W, R, R), dtype=i64)
-            self.fring = self.fdest = self.fhead = self.flen = None
+        # is the whole buffer for the dynamically shared kinds (a FIFO
+        # only ever fills queue 0) and one partition for the statically
+        # partitioned ones.
+        self.ring = np.zeros((SV, W, R, R, Cq), dtype=i64)
+        self.qhead = np.zeros((SV, W, R, R), dtype=i64)
+        self.qlen = np.zeros((SV, W, R, R), dtype=i64)
         # Occupied slots per input buffer (all kinds).
         self.occb = np.zeros((SV, W, R), dtype=i64)
         # Arbiter fairness state.
@@ -324,15 +313,18 @@ class NumpyKernel(SimKernel):
         self.att = np.zeros(self.BN, dtype=i64)
         self.next_k = np.zeros(self.BN, dtype=i64)
         self.target = np.full(self.BN, GAP_SENTINEL, dtype=i64)
-        # Packet pools.  Global packet id = sim * stride + local id, so
-        # each simulation's local ids count 0, 1, 2, ... exactly like
-        # the reference packet factory; ``prepare`` sizes the stride.
+        # Packet pools.  Global packet id = the sim's pool base + local
+        # id, so each simulation's local ids count 0, 1, 2, ... exactly
+        # like the reference packet factory; ``prepare`` sizes each
+        # sim's id block to its own decoded arrivals.
         self.pk_dest = np.zeros(1, dtype=i64)
         self.pk_created = np.zeros(1, dtype=i64)
         self.pk_injected = np.zeros(1, dtype=i64)
         self.next_idv = np.zeros(B, dtype=i64)
-        self._stride = 0
+        self._pool_base = np.zeros(B, dtype=i64)
+        self._pool_sizes = np.zeros(B, dtype=i64)
         self._plan_attempts = -1
+        self._row0: Any = None
         self._arr_att: Any = None
         self._dests: Any = None
         self._offsets: Any = None
@@ -376,18 +368,9 @@ class NumpyKernel(SimKernel):
         self._prio_flat = self.prio.reshape(-1)
         self._fwd_flat = self.fwd.reshape(-1)
         self._recv_flat = self.recv.reshape(-1)
-        if self.layout == "FIFO":
-            self._fring_flat = self.fring.reshape(-1)
-            self._fdest_flat = self.fdest.reshape(-1)
-            self._fhead_flat = self.fhead.reshape(-1)
-            self._flen_flat = self.flen.reshape(-1)
-            self._ring_flat = self._qhead_flat = self._qlen_flat = None
-        else:
-            self._ring_flat = self.ring.reshape(-1)
-            self._qhead_flat = self.qhead.reshape(-1)
-            self._qlen_flat = self.qlen.reshape(-1)
-            self._fring_flat = self._fdest_flat = None
-            self._fhead_flat = self._flen_flat = None
+        self._ring_flat = self.ring.reshape(-1)
+        self._qhead_flat = self.qhead.reshape(-1)
+        self._qlen_flat = self.qlen.reshape(-1)
         self._b_grid = np.arange(B, dtype=i64)[:, None, None, None]
         # Mixed-property helpers: per-port / per-virtual-stage expansions
         # of the per-sim capacity, protocol and room-semantics vectors.
@@ -402,9 +385,19 @@ class NumpyKernel(SimKernel):
         self._blocking_mask4 = flags_blocking[:, None, None, None]
         self._buflevel_mask4 = flags_buflevel[:, None, None, None]
         self._cons_mask4 = np.array(conservative_flags)[:, None, None, None]
-        self._any_buflevel_blocking = any(
-            blocking_flags[b] and buflevel[b] for b in range(B)
-        )
+        # One-queue (FIFO) sims push and pop queue 0: a packet's queue is
+        # its local output times the sim's multi-queue flag.
+        multiq = ~np.array(fifo)
+        self._multiq_vstage = np.tile(multiq, S).astype(i64)
+        self._multiq_port = np.repeat(multiq, N).astype(i64)
+        # Candidate-register helpers, one entry per FIFO buffer: the
+        # flat index of its queue 0 (also its row base in the register),
+        # of queue 0's first ring slot and of its stage's routing digits.
+        fifo_buf = np.repeat(np.tile(np.array(fifo), S), W * R).nonzero()[0]
+        self._fifo_q0 = fifo_buf * R
+        self._fifo_slot = self._fifo_q0 * Cq
+        self._fifo_digit = fifo_buf // (W * R) * N
+        self._digit_v_flat = self.digit_v.reshape(-1)
         self._any_cons = any(conservative_flags)
         self._any_precise = any(
             blocking_flags[b] and not buflevel[b] and not conservative_flags[b]
@@ -429,12 +422,17 @@ class NumpyKernel(SimKernel):
             if q_rows
             else None
         )
-        # (sim, bound) pairs for the per-stage may-block gate.
-        self._gate_checks = [
-            (b, self.C if buflevel[b] else int(self._cq_b[b]))
-            for b in range(B)
-            if blocking_flags[b]
-        ]
+        # Per-sim slot-count bound of the per-stage may-block gate; a
+        # discarding sim's bound is out of reach.
+        self._gate_bound = np.array(
+            [
+                (self.C if buflevel[b] else int(self._cq_b[b]))
+                if blocking_flags[b]
+                else np.iinfo(i64).max
+                for b in range(B)
+            ],
+            dtype=i64,
+        )
         if not self._single_read:
             # Static row subsets of the multi-read (SAFC) sims: after the
             # first arbitration pass every single-read row is dead, so
@@ -460,7 +458,7 @@ class NumpyKernel(SimKernel):
         # or all stages stacked): index vectors plus the rotated key
         # array, widened by a dummy output column so non-granting
         # switches can scatter into it harmlessly.
-        self._scratch_cache: dict[int, tuple[Any, Any, Any]] = {}
+        self._scratch_cache: dict[int, tuple[Any, Any, Any, Any]] = {}
 
     # ------------------------------------------------------------------
     # SimKernel interface
@@ -477,65 +475,66 @@ class NumpyKernel(SimKernel):
     def prepare(self, total_cycles: int) -> None:
         if self._plan_attempts >= total_cycles:
             return
-        plans = [decode_arrivals(cfg, total_cycles) for cfg in self.configs]
-        width = max(plan.gaps.shape[1] for plan in plans)
-        gaps = np.full((self.BN, width), GAP_SENTINEL, dtype=np.int64)
-        dests = np.zeros((self.BN, width), dtype=np.int64)
-        offsets = np.zeros((self.BN, width), dtype=np.int64)
-        counts = np.zeros(self.BN, dtype=np.int64)
-        for b, plan in enumerate(plans):
-            rows = slice(b * self.N, (b + 1) * self.N)
-            cols = plan.gaps.shape[1]
-            gaps[rows, :cols] = plan.gaps
-            dests[rows, :cols] = plan.dests
-            offsets[rows, :cols] = plan.offsets
-            counts[rows] = plan.counts
-        # Attempt number (1-based, cumulative) of each arrival; the
-        # sentinel column (and any padding) stays unreachably large.
-        padded = gaps >= GAP_SENTINEL
-        arr_att = np.cumsum(np.where(padded, 0, gaps) + 1, axis=1)
-        arr_att[padded] = GAP_SENTINEL
+        # The arrival tables are ragged: each source's row holds its own
+        # arrivals and one sentinel entry, rows back to back from
+        # ``_row0``, so their size (like the pools') follows the batch's
+        # total traffic rather than B times its busiest simulation.
+        counts: list[Any] = []
+        parts: list[tuple[Any, Any, Any]] = []
+        for cfg in self.configs:
+            plan = decode_arrivals(cfg, total_cycles)
+            # Attempt number (1-based, cumulative) of each arrival; a
+            # row's sentinel entry stays unreachably large.
+            padded = plan.gaps >= GAP_SENTINEL
+            arr_att = np.cumsum(np.where(padded, 0, plan.gaps) + 1, axis=1)
+            arr_att[padded] = GAP_SENTINEL
+            keep = np.arange(arr_att.shape[1]) <= plan.counts[:, None]
+            parts.append(
+                (arr_att[keep], plan.dests[keep], plan.offsets[keep])
+            )
+            counts.append(plan.counts)
+        arrivals = np.concatenate(counts)
+        lengths = arrivals + 1
+        self._row0 = np.cumsum(lengths) - lengths
+        self._arr_att, self._dests, self._offsets = (
+            np.concatenate(column) for column in zip(*parts)
+        )
         self._plan_attempts = total_cycles
-        self._arr_att = arr_att
-        self._dests = dests
-        self._offsets = offsets
         # Re-deriving the plan over a longer horizon reproduces the old
         # prefix exactly, so live cursors (att, next_k) stay valid; only
         # the per-source targets must be re-read from the new table.
-        self.target = arr_att[np.arange(self.BN), self.next_k]
-        stride = int(counts.reshape(self.B, self.N).sum(axis=1).max()) + 1
-        self._grow_pools(stride)
+        self.target = self._arr_att[self._row0 + self.next_k]
+        self._grow_pools(arrivals.reshape(self.B, self.N).sum(axis=1) + 1)
 
-    def _grow_pools(self, stride: int) -> None:
-        """Resize the packet pools to ``B * stride``, preserving ids.
+    def _grow_pools(self, sizes: Any) -> None:
+        """Resize the packet pools to ``sizes[b]`` ids per sim, keeping ids.
 
-        Growing the stride moves every simulation's id block, so all
-        stored global ids (queue rings, source rings) are remapped in
-        place: ``id += (id // old_stride) * (stride - old_stride)``.
-        Local ids and the per-sim counters are stride-independent.
+        Simulation ``b`` owns the id block starting at ``_pool_base[b]``.
+        Growing a block moves the later ones, so all stored global ids
+        (queue rings, source rings) are remapped in place by their
+        block's shift.  Local ids and the per-sim counters are
+        block-independent.
         """
-        old = self._stride
-        if stride <= old:
+        old_sizes = self._pool_sizes
+        sizes = np.maximum(sizes, old_sizes)
+        if (sizes == old_sizes).all():
             return
-        if old and self.B > 1:
-            diff = stride - old
-            arrays = (
-                (self.fring, self.sring)
-                if self.layout == "FIFO"
-                else (self.ring, self.sring)
-            )
-            for array in arrays:
-                array += (array // old) * diff
+        old_base = self._pool_base
+        base = np.cumsum(sizes) - sizes
+        if old_sizes.any() and self.B > 1:
+            shift = base - old_base
+            for array in (self.ring, self.sring):
+                array += shift[np.searchsorted(old_base, array, "right") - 1]
         for attr in ("pk_dest", "pk_created", "pk_injected"):
             pool = getattr(self, attr)
-            grown = np.zeros(self.B * stride, dtype=np.int64)
-            if old:
-                for b in range(self.B):
-                    grown[b * stride : b * stride + old] = pool[
-                        b * old : (b + 1) * old
-                    ]
+            grown = np.zeros(int(sizes.sum()), dtype=np.int64)
+            for b in old_sizes.nonzero()[0].tolist():
+                old = int(old_sizes[b])
+                start = int(old_base[b])
+                grown[base[b] : base[b] + old] = pool[start : start + old]
             setattr(self, attr, grown)
-        self._stride = stride
+        self._pool_base = base
+        self._pool_sizes = sizes
 
     def begin_measurement(self) -> None:
         if self.measure_start_clock is None:
@@ -562,11 +561,12 @@ class NumpyKernel(SimKernel):
     def finish(
         self, warmup_cycles: int, measure_cycles: int
     ) -> SimulationResult:
-        return self._result(0, warmup_cycles, measure_cycles)
+        return self.result_for(0, warmup_cycles, measure_cycles)
 
-    def _result(
+    def result_for(
         self, sim: int, warmup_cycles: int, measure_cycles: int
     ) -> SimulationResult:
+        """The summarized result of one simulation of the batch."""
         self._flush_meters()
         meters = self.metersL[sim]
         meters.cycles = measure_cycles
@@ -597,7 +597,7 @@ class NumpyKernel(SimKernel):
                 self.begin_measurement()
             self.step()
         return [
-            self._result(sim, warmup_cycles, measure_cycles)
+            self.result_for(sim, warmup_cycles, measure_cycles)
             for sim in range(self.B)
         ]
 
@@ -751,24 +751,17 @@ class NumpyKernel(SimKernel):
         """Cycle-start candidate lengths and arbitration keys, stacked.
 
         ``ql4`` is the candidate length register ``[vstage, switch,
-        input, output]`` — the live ``qlen`` array for the ring layout,
-        a freshly scattered register for FIFO — and ``key`` the
-        composite arbitration key, materialized before any pop.  Every
-        stage's candidates are fixed at cycle start (upstream pushes
-        land only after it arbitrates; downstream pops never touch its
-        queues), so one stacked construction serves both the stacked
-        fast path and the sequenced blocking walk.
+        input, output]`` — the live ``qlen`` array when every sim is
+        multi-queue, else a fresh :meth:`_candidates` scatter — and
+        ``key`` the composite arbitration key, materialized before any
+        pop.  Every stage's candidates are fixed at cycle start
+        (upstream pushes land only after it arbitrates; downstream pops
+        never touch its queues), so one stacked construction serves both
+        the stacked fast path and the sequenced blocking walk.
         """
-        R, W, SV = self.R, self.W, self.SV
-        U = SV * W
-        if self.layout == "FIFO":
-            head_dest = np.take_along_axis(
-                self.fdest, self.fhead[..., None], axis=3
-            )[..., 0]
-            ql4 = np.zeros((SV, W, R, R), dtype=np.int64)
-            np.put_along_axis(ql4, head_dest[..., None], self.flen[..., None], 3)
-        else:
-            ql4 = self.qlen
+        R = self.R
+        U = self.SV * self.W
+        ql4 = self._candidates() if self._fifo_any else self.qlen
         ql = ql4.reshape(U, R, R)
         stale = self.stale.reshape(U, R, R)
         key = ql << _LENGTH_SHIFT
@@ -779,6 +772,38 @@ class NumpyKernel(SimKernel):
         key += self._rank_o
         return ql4, key
 
+    def _candidates(self) -> Any:
+        """A fresh candidate length register for a batch with FIFO sims.
+
+        A multi-queue buffer's queue ``o`` bids for local output ``o``,
+        so its register row is its ``qlen`` row.  A FIFO fills only
+        queue 0, and that whole length bids for the local output of its
+        head packet: one flat scatter moves each FIFO's queue-0 length
+        into that column.  The FIFO buffers are distinct, so the scatter
+        is collision-free; an empty FIFO moves a zero to an arbitrary
+        column.
+        """
+        q0 = self._fifo_q0
+        heads = self._ring_flat[self._fifo_slot + self._qhead_flat[q0]]
+        outputs = self._digit_v_flat[self._fifo_digit + self.pk_dest[heads]]
+        ql4 = self.qlen.copy()
+        flat = ql4.reshape(-1)
+        lengths = flat[q0]
+        flat[q0] = 0
+        flat[q0 + outputs] = lengths
+        return ql4
+
+    def _queue(self, outputs: Any, multiq: Any, index: Any) -> Any:
+        """The queue of packets bound for local ``outputs``: the output
+        itself on multi-queue sims, queue 0 on FIFO sims.  ``multiq`` is
+        a per-row expansion of the multi-queue flags, read at ``index``.
+        """
+        if not self._fifo_any:
+            return outputs
+        if self._fifo_all:
+            return 0
+        return outputs * multiq[index]
+
     def _pop(self, bflat: Any, Sg: Any, Og: Any) -> Any:
         """Pop the granted head packets; returns their global ids.
 
@@ -788,20 +813,13 @@ class NumpyKernel(SimKernel):
         exact — except the occupancy decrement of a multi-read (SAFC)
         batch, where one input buffer can grant several outputs.
         """
-        if self.layout == "FIFO":
-            heads = self._fhead_flat[bflat]
-            ids = self._fring_flat[bflat * self.C + heads]
-            bumped = heads + 1
-            self._fhead_flat[bflat] = np.where(bumped == self.C, 0, bumped)
-            self._flen_flat[bflat] -= 1
-        else:
-            qflat = bflat * self.R + Og
-            heads = self._qhead_flat[qflat]
-            ids = self._ring_flat[qflat * self.CqW + heads]
-            bumped = heads + 1
-            cq = self.Cq if self._cq_uniform else self._cq_vstage[Sg]
-            self._qhead_flat[qflat] = np.where(bumped == cq, 0, bumped)
-            self._qlen_flat[qflat] -= 1
+        qflat = bflat * self.R + self._queue(Og, self._multiq_vstage, Sg)
+        heads = self._qhead_flat[qflat]
+        ids = self._ring_flat[qflat * self.CqW + heads]
+        bumped = heads + 1
+        cq = self.Cq if self._cq_uniform else self._cq_vstage[Sg]
+        self._qhead_flat[qflat] = np.where(bumped == cq, 0, bumped)
+        self._qlen_flat[qflat] -= 1
         if self.max_reads == 1:
             self._occ_flat[bflat] -= 1
         else:
@@ -873,38 +891,42 @@ class NumpyKernel(SimKernel):
           ``s-1`` itself), so they batch into one scatter, exactly
           like the stacked path's;
         * the forwarded/slot counters — nothing mid-walk reads them
-          except the may-block gate, which then sees pre-pop slot
-          counts and only errs toward computing an (exact) blocked
-          mask it could have skipped.
+          except the per-stage busy and may-block gates, so both are
+          read once up front from the cycle-start slot counts.
+
+        The may-block gate is a cheap skip: a blocking sim's downstream
+        buffer can only be full while its next-stage slot count reaches
+        the fullness bound (queue capacity, or whole-buffer capacity for
+        FIFO/DAMQ).  Pre-pop counts over-approximate, so the gate only
+        errs toward computing an (exact) blocked mask it could have
+        skipped.
         """
-        B, R, W, SV = self.B, self.R, self.W, self.SV
+        B, R, S, W, SV = self.B, self.R, self.S, self.W, self.SV
         U = SV * W
         BW = B * W
         ql4, key = self._stacked_key()
         # Fairness reads pre-pop state; snapshot what the walk mutates.
-        # (The FIFO register is already a fresh scatter, and only the
-        # dumb scheme's advance reads occupancy.)
-        ql_pre = ql4 if self.layout == "FIFO" else ql4.copy()
+        # (A scattered candidate register is already fresh, and only
+        # the dumb scheme's advance reads occupancy.)
+        ql_pre = ql4 if self._fifo_any else ql4.copy()
         occ = self.occb.reshape(U, R)
         occ_pre = occ if self._smart_all else occ.copy()
         got0 = np.zeros(U, dtype=bool)
-        stage_slots = self.stage_slots
+        slots = self.stage_slots.reshape(S, B)
+        busy = slots.any(1).tolist()
+        may_block = (slots[1:] >= self._gate_bound).any(1).tolist()
         grant_rows: list[Any] = []
         grant_bflat: list[Any] = []
         grant_og: list[Any] = []
         fwd_parts: list[tuple[Any, Any, Any, Any]] = []
-        last0 = (self.S - 1) * B
-        for s in range(self.S - 1, -1, -1):
-            if not stage_slots[s * B : (s + 1) * B].any():
+        last0 = (S - 1) * B
+        for s in range(S - 1, -1, -1):
+            if not busy[s]:
                 continue
             lo = s * BW
             key_s = key[lo : lo + BW]
-            last = s == self.S - 1
-            if (
-                self._blocking_any
-                and not last
-                and self._downstream_may_block(s)
-            ):
+            last = s == S - 1
+            if not last and may_block[s]:
                 blocked = self._blocked(s, ql4[s * B : (s + 1) * B])
                 if not self._blocking_all:
                     # Discarding sims in the batch never block; their
@@ -947,7 +969,7 @@ class NumpyKernel(SimKernel):
         Og = grant_og[0] if one else np.concatenate(grant_og)
         self._stale_flat[bflat * R + Og] = 0
         self._fwd_flat += np.bincount(gU, minlength=U)
-        stage_slots -= np.bincount(gU // W, minlength=SV)
+        self.stage_slots -= np.bincount(gU // W, minlength=SV)
         if fwd_parts:
             if len(fwd_parts) == 1:
                 fSg, fWg, fOg, fids = fwd_parts[0]
@@ -979,19 +1001,6 @@ class NumpyKernel(SimKernel):
             return True
         return False
 
-    def _downstream_may_block(self, s: int) -> bool:
-        """Cheap skip: a blocking sim's downstream buffer can only be
-        full while its next-stage slot count reaches the fullness bound
-        (queue capacity, or whole-buffer capacity for FIFO/DAMQ).  The
-        sequenced walk defers its slot-count decrements, so the gate
-        sees pre-pop counts — an over-approximation that can only make
-        it compute an (exact) blocked mask it could have skipped."""
-        nxt = (s + 1) * self.B
-        stage_slots = self.stage_slots
-        return any(
-            stage_slots[nxt + b] >= bound for b, bound in self._gate_checks
-        )
-
     def _blocked(self, s: int, ql4: Any) -> Any:
         """Blocked predicate for every candidate of network stage ``s``.
 
@@ -1006,11 +1015,6 @@ class NumpyKernel(SimKernel):
         B = self.B
         flat = self.flatidx[s]
         nxt = slice((s + 1) * B, (s + 2) * B)
-        if self.layout == "FIFO":
-            # Dest-independent: the downstream buffer is simply full.
-            # (Conservative fidelity coincides with precise here.)
-            full = (self.occb[nxt] >= self.C).reshape(B, -1)
-            return full[:, flat][:, :, None, :]
         blocked = None
         if self._any_precise:
             # Precise: the head packet's next-stage queue must have room.
@@ -1063,16 +1067,12 @@ class NumpyKernel(SimKernel):
         oflat = self._oflat_v[Sg, Wg, Og]
         d2 = self.digit_v[s2, self.pk_dest[ids]]
         occ_flat = self._occ_flat
-        if self.layout == "FIFO":
-            qflat = None
-            qlen_flat = None
-        else:
-            qflat = oflat * R + d2
-            qlen_flat = self._qlen_flat
+        qflat = oflat * R + self._queue(d2, self._multiq_vstage, s2)
+        qlen_flat = self._qlen_flat
         if not self._blocking_all:
             # Discarding protocol: a full downstream buffer drops the
             # packet.
-            if self.layout == "FIFO" or self._buflevel_all:
+            if self._buflevel_all:
                 room = occ_flat[oflat] < self.C
             elif self._buflevel_none:
                 cq = self.Cq if self._cq_uniform else self._cq_vstage[s2]
@@ -1099,24 +1099,14 @@ class NumpyKernel(SimKernel):
                 ids = ids[room]
                 s2 = s2[room]
                 oflat = oflat[room]
-                d2 = d2[room]
-                if qflat is not None:
-                    qflat = qflat[room]
+                qflat = qflat[room]
         if not ids.size:
             return
-        if self.layout == "FIFO":
-            flen_flat = self._flen_flat
-            tail = self._fhead_flat[oflat] + flen_flat[oflat]
-            tail = np.where(tail >= self.C, tail - self.C, tail)
-            self._fring_flat[oflat * self.C + tail] = ids
-            self._fdest_flat[oflat * self.C + tail] = d2
-            flen_flat[oflat] += 1
-        else:
-            cq = self.Cq if self._cq_uniform else self._cq_vstage[s2]
-            tail = self._qhead_flat[qflat] + qlen_flat[qflat]
-            tail = np.where(tail >= cq, tail - cq, tail)
-            self._ring_flat[qflat * self.CqW + tail] = ids
-            qlen_flat[qflat] += 1
+        cq = self.Cq if self._cq_uniform else self._cq_vstage[s2]
+        tail = self._qhead_flat[qflat] + qlen_flat[qflat]
+        tail = np.where(tail >= cq, tail - cq, tail)
+        self._ring_flat[qflat * self.CqW + tail] = ids
+        qlen_flat[qflat] += 1
         occ_flat[oflat] += 1
         recv_flat = self._recv_flat
         recv_flat += np.bincount(oflat // R, minlength=recv_flat.size)
@@ -1279,9 +1269,9 @@ class NumpyKernel(SimKernel):
         hit = self.att == self.target
         ports = hit.nonzero()[0]
         if ports.size:
-            k = self.next_k[ports]
-            destinations = self._dests[ports, k]
-            offsets = self._offsets[ports, k]
+            k = self._row0[ports] + self.next_k[ports]
+            destinations = self._dests[k]
+            offsets = self._offsets[k]
             count = int(ports.size)
             if B == 1:
                 sims_p = None
@@ -1296,7 +1286,7 @@ class NumpyKernel(SimKernel):
                 first = np.cumsum(per_sim) - per_sim
                 within = np.arange(count, dtype=np.int64) - first[sims_p]
                 ids = (
-                    sims_p * self._stride + self.next_idv[sims_p] + within
+                    self._pool_base[sims_p] + self.next_idv[sims_p] + within
                 )
                 self.next_idv += per_sim
             created = self._cycle * self.clk + offsets
@@ -1307,7 +1297,7 @@ class NumpyKernel(SimKernel):
             self.sring[ports, tail] = ids
             slen[ports] += 1
             self.next_k[ports] += 1
-            self.target[ports] = self._arr_att[ports, k + 1]
+            self.target[ports] = self._arr_att[k + 1]
             if ms is not None:
                 self._tally("generated", sims_p, created >= ms)
         # Phase 2 — head injection into stage 0 (entry points are a
@@ -1320,13 +1310,9 @@ class NumpyKernel(SimKernel):
         d0 = self.digit[0][self.pk_dest[head_ids]]
         oflat0 = self._entry_oflat[pending]
         occ_flat = self._occ_flat
-        if self.layout == "FIFO":
-            qflat0 = None
-            qlen_flat = None
-        else:
-            qflat0 = oflat0 * self.R + d0
-            qlen_flat = self._qlen_flat
-        if self.layout == "FIFO" or self._buflevel_all:
+        qflat0 = oflat0 * self.R + self._queue(d0, self._multiq_port, pending)
+        qlen_flat = self._qlen_flat
+        if self._buflevel_all:
             can = occ_flat[oflat0] < self.C
         elif self._buflevel_none:
             cq = self.Cq if self._cq_uniform else self._cq_port[pending]
@@ -1344,22 +1330,12 @@ class NumpyKernel(SimKernel):
             oa = oflat0[accepted]
             va = sources // self.N
             self.pk_injected[ids] = (self._cycle + 1) * self.clk
-            if self.layout == "FIFO":
-                flen_flat = self._flen_flat
-                tail = self._fhead_flat[oa] + flen_flat[oa]
-                tail = np.where(tail >= self.C, tail - self.C, tail)
-                self._fring_flat[oa * self.C + tail] = ids
-                self._fdest_flat[oa * self.C + tail] = d0[accepted]
-                flen_flat[oa] += 1
-            else:
-                qa = qflat0[accepted]
-                cq = (
-                    self.Cq if self._cq_uniform else self._cq_port[sources]
-                )
-                tail = self._qhead_flat[qa] + qlen_flat[qa]
-                tail = np.where(tail >= cq, tail - cq, tail)
-                self._ring_flat[qa * self.CqW + tail] = ids
-                qlen_flat[qa] += 1
+            qa = qflat0[accepted]
+            cq = self.Cq if self._cq_uniform else self._cq_port[sources]
+            tail = self._qhead_flat[qa] + qlen_flat[qa]
+            tail = np.where(tail >= cq, tail - cq, tail)
+            self._ring_flat[qa * self.CqW + tail] = ids
+            qlen_flat[qa] += 1
             occ_flat[oa] += 1
             recv_flat = self._recv_flat
             recv_flat += np.bincount(
@@ -1413,23 +1389,16 @@ class NumpyKernel(SimKernel):
 
     def _packed_switch(self, u: int, w: int, base: int) -> dict[str, Any]:
         R = self.R
-        if self.layout == "FIFO":
+        if self.kinds[u % self.B] == "FIFO":
+            # One queue per input; its whole length bids for the head
+            # packet's local output.
+            queues = [[self._packed_queue(u, w, i, 0, base)] for i in range(R)]
             lengths = []
-            queues = []
-            for i in range(R):
-                used = int(self.flen[u, w, i])
-                head = int(self.fhead[u, w, i])
+            for (queue,) in queues:
                 row = [0] * R
-                entries = []
-                for k in range(used):
-                    slot = (head + k) % self.C
-                    entries.append(
-                        self._packed_entry(int(self.fring[u, w, i, slot]), base)
-                    )
-                if used:
-                    row[int(self.fdest[u, w, i, head])] = used
+                if queue:
+                    row[int(self.digit_v[u, queue[0][1]])] = len(queue)
                 lengths.append(row)
-                queues.append([entries])
         else:
             lengths = self.qlen[u, w].tolist()
             queues = [
@@ -1453,7 +1422,7 @@ class NumpyKernel(SimKernel):
         """The packed state of one simulation of the batch."""
         self._flush_meters()
         B = self.B
-        base = sim * self._stride
+        base = int(self._pool_base[sim])
         sources = []
         for local_port in range(self.N):
             port = sim * self.N + local_port

@@ -27,6 +27,7 @@ __all__ = [
     "measure_saturation",
     "measure_saturation_grid",
     "latency_throughput_curve",
+    "latency_throughput_curves",
 ]
 
 
@@ -120,18 +121,46 @@ def latency_throughput_curve(
     throughput stops increasing while latency keeps climbing).  The sweep
     points are independent runs, so ``jobs`` fans them over processes.
     """
+    return latency_throughput_curves(
+        [config], offered_loads, warmup_cycles, measure_cycles, jobs
+    )[0]
+
+
+def latency_throughput_curves(
+    configs: Sequence[NetworkConfig],
+    offered_loads: list[float],
+    warmup_cycles: int = 2000,
+    measure_cycles: int = 10000,
+    jobs: int | None = 1,
+) -> list[list[CurvePoint]]:
+    """One :func:`latency_throughput_curve` per config, in input order.
+
+    Every sweep point of every curve goes through one
+    ``parallel_simulate`` call, so the numpy backend fuses them all into
+    one batch and ``jobs`` fans them over one pool.
+    """
     results: list[SimulationResult] = parallel_simulate(
-        [config.with_overrides(offered_load=load) for load in offered_loads],
+        [
+            config.with_overrides(offered_load=load)
+            for config in configs
+            for load in offered_loads
+        ],
         warmup_cycles,
         measure_cycles,
         jobs=jobs,
     )
+    width = len(offered_loads)
     return [
-        CurvePoint(
-            offered_load=load,
-            delivered_throughput=result.delivered_throughput,
-            average_latency=result.average_latency,
-            latency_half_width=result.meters.latency.mean_half_width(),
-        )
-        for load, result in zip(offered_loads, results)
+        [
+            CurvePoint(
+                offered_load=load,
+                delivered_throughput=result.delivered_throughput,
+                average_latency=result.average_latency,
+                latency_half_width=result.meters.latency.mean_half_width(),
+            )
+            for load, result in zip(
+                offered_loads, results[index * width : (index + 1) * width]
+            )
+        ]
+        for index in range(len(configs))
     ]

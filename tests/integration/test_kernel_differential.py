@@ -9,7 +9,8 @@ Three claims are exercised end to end:
   counterexample that replays through the model checker's standard
   machinery (``build_system`` / ``Counterexample.replay``) and
   round-trips through JSON serialization;
-* the CLI smoke grid (``python -m repro.kernel diff --ci``) passes.
+* the CLI smoke grid (``python -m repro.kernel diff --ci``) passes, run
+  alone and fused into one numpy batch.
 
 Shortened windows keep the suite fast; the CI ``kernel-equivalence``
 job runs the same grid at full quick fidelity.
@@ -191,3 +192,9 @@ class TestCliSmoke:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("equivalent over 120 cycles") == 4
+        # The same grid fused into one numpy batch, every member checked
+        # against its own reference kernel after every cycle.
+        assert (
+            "fused batch of 4 (FIFO, DAMQ, SAMQ, SAFC): 4/4 members match "
+            "their reference kernels on 120 compared cycles" in out
+        )

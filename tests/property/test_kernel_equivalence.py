@@ -8,8 +8,10 @@ every counter and the exact Welford accumulator state — is equal, plus
 the packed per-cycle state digests at the end of the run.
 
 Batching is part of the claim too: fusing several configurations into
-one struct-of-arrays kernel must leave each configuration's results
-identical to running it alone.
+one struct-of-arrays kernel — any mix of buffer kinds, protocols and
+arbiters — must leave each configuration's results identical to
+running it alone, and each member's packed state identical to its own
+reference kernel's at every cycle.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.base import make_kernel
+from repro.kernel.bench import bench_grids
 from repro.kernel.numpy_kernel import NumpyKernel, batch_group_key
 from repro.network import NetworkConfig
 from repro.switch.flow_control import Protocol
@@ -63,34 +66,82 @@ def test_backends_agree_on_random_configs(config):
 
 @settings(max_examples=8, deadline=None)
 @given(
-    kind=st.sampled_from(["FIFO", "DAMQ"]),
-    protocol=st.sampled_from([Protocol.BLOCKING, Protocol.DISCARDING]),
-    loads=st.lists(
-        st.sampled_from([0.2, 0.4, 0.7, 1.0]),
+    points=st.lists(
+        st.tuples(
+            st.sampled_from(["FIFO", "SAMQ", "SAFC", "DAMQ"]),
+            st.sampled_from([Protocol.BLOCKING, Protocol.DISCARDING]),
+            st.sampled_from(["smart", "dumb"]),
+            st.sampled_from([0.2, 0.4, 0.7, 1.0]),
+        ),
         min_size=2,
         max_size=4,
-        unique=True,
     ),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_batched_run_matches_individual_runs(kind, protocol, loads, seed):
+def test_batched_run_matches_individual_runs(points, seed):
     members = [
         NetworkConfig(
             num_ports=16,
             radix=4,
             buffer_kind=kind,
             protocol=protocol,
+            arbiter_kind=arbiter,
             offered_load=load,
             seed=seed,
         )
-        for load in loads
+        for kind, protocol, arbiter, load in points
     ]
     keys = {batch_group_key(config) for config in members}
-    assert len(keys) == 1, "loads must not split the batch group"
+    assert len(keys) == 1, (
+        "kinds, protocols, arbiters and loads must not split the batch group"
+    )
     batched = NumpyKernel.batch(members).run_batch(20, 80)
     for config, fused in zip(members, batched):
         alone = NumpyKernel(config).run(20, 80)
         assert fused.to_state() == alone.to_state()
+
+
+@pytest.mark.parametrize("experiment", ["figure3", "table3"])
+def test_paper_grids_fuse_into_one_batch(experiment):
+    grid = bench_grids(quick=True, seed=1988)[experiment]
+    assert len({batch_group_key(config) for config in grid}) == 1
+
+
+def test_mixed_fifo_damq_batch_matches_references_every_cycle():
+    # FIFO and DAMQ members share one kernel; at full load their 4-slot
+    # buffers fill, so the blocked-stage walk runs on most cycles.
+    members = [
+        NetworkConfig(
+            num_ports=16,
+            radix=4,
+            buffer_kind=kind,
+            protocol=Protocol.BLOCKING,
+            arbiter_kind=arbiter,
+            offered_load=load,
+            seed=1988 + index,
+        )
+        for index, (kind, arbiter, load) in enumerate(
+            [
+                ("FIFO", "smart", 1.0),
+                ("DAMQ", "smart", 1.0),
+                ("FIFO", "dumb", 0.7),
+                ("DAMQ", "dumb", 0.5),
+            ]
+        )
+    ]
+    warmup, total = 20, 100
+    fused = NumpyKernel.batch(members)
+    references = [make_kernel(config, "reference") for config in members]
+    for cycle in range(total):
+        for kernel in (fused, *references):
+            if cycle == warmup:
+                kernel.begin_measurement()
+            kernel.step()
+        for sim, reference in enumerate(references):
+            assert (
+                digest_json(fused.packed_state_for(sim))
+                == reference.state_digest()
+            ), f"member {sim} diverged at cycle {cycle + 1}"
 
 
 @settings(max_examples=10, deadline=None)

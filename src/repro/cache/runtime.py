@@ -54,7 +54,8 @@ class CacheContext:
     backend:
         Forced simulation backend (``"reference"``/``"numpy"``) applied
         to every grid the experiment fans out, or ``None`` to honour
-        the ambient ``REPRO_BACKEND`` preference.  Ambient for the same
+        the ambient ``REPRO_BACKEND`` preference (else numpy wherever
+        it is exact).  Ambient for the same
         reason the cache is: the figure/table code stays
         backend-oblivious.
     """

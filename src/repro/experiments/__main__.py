@@ -54,7 +54,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for each experiment's simulation grid "
+        help="worker processes for each experiment's simulation grid; a "
+        "numpy grid is split into up to N fused batches "
         "(0 = one per CPU; results are identical for any value)",
     )
     parser.add_argument(
@@ -64,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         help="force the simulation backend for every grid (results are "
         "byte-identical; numpy fuses each grid into vectorized batch "
         "kernels).  Unset, the REPRO_BACKEND environment variable "
-        "applies as a soft preference",
+        "applies as a soft preference, else numpy wherever it is exact",
     )
     parser.add_argument(
         "--csv-dir",

@@ -68,8 +68,9 @@ def run_experiment(
     """Run one experiment by id ("table2", "figure3", ...).
 
     ``jobs`` fans each experiment's independent simulation grid over that
-    many worker processes (``None``/``0`` = one per CPU).  Per-config
-    seeding makes the results byte-identical to a ``jobs=1`` run.
+    many worker processes (``None``/``0`` = one per CPU) — a numpy grid
+    as up to ``jobs`` fused batches.  Per-config seeding makes the
+    results byte-identical to a ``jobs=1`` run.
 
     ``cache`` memoizes the experiment's per-config simulations in a
     content-addressed store: a warm re-run serves every result from the
@@ -86,7 +87,8 @@ def run_experiment(
 
     ``backend`` forces a simulation backend for every grid the
     experiment fans out (``"reference"`` or ``"numpy"``); ``None``
-    honours the ``REPRO_BACKEND`` preference.  Results are
+    honours the ``REPRO_BACKEND`` preference, else runs on the numpy
+    kernel wherever it is exact.  Results are
     byte-identical across backends — a forced numpy request merely
     raises :class:`ConfigurationError` when combined with a feature the
     vectorized kernel does not implement.

@@ -11,11 +11,12 @@ same packets, same grants, same meters, same RNG stream consumption.
 
 Backend selection is threaded through ``simulate`` /
 ``run_experiment`` / ``parallel_simulate`` / ``repro.perf`` and the
-service job specs; ``--backend`` forces a backend (unsupported
-combinations raise :class:`~repro.errors.ConfigurationError`) while the
-``REPRO_BACKEND`` environment variable states a soft preference that
-falls back to the reference kernel whenever telemetry, the sanitizer,
-checkpointing or an unsupported configuration demands it.
+service job specs.  The numpy kernel is the default wherever it is
+exact; ``--backend`` forces a backend (unsupported combinations raise
+:class:`~repro.errors.ConfigurationError`) while the default and the
+``REPRO_BACKEND`` environment variable fall back to the reference kernel
+whenever telemetry, the sanitizer or an unsupported configuration
+demands it.  Both kernels checkpoint and resume.
 
 The exactness bar is enforced by :mod:`repro.kernel.differential`: a
 lockstep harness steps both backends cycle by cycle, compares packed

@@ -3,7 +3,8 @@
 Examples::
 
     # Lockstep per-cycle equivalence check of the CI smoke grid, run
-    # alone and then fused into numpy batches:
+    # alone and then fused into numpy batches (checkpointed and resumed
+    # into a fresh kernel halfway through):
     python -m repro.kernel diff --ci
 
     # Diff one configuration, dumping a replayable counterexample on
@@ -108,6 +109,9 @@ def _diff_fused(configs: list[NetworkConfig], window: dict[str, int]) -> int:
     groups: dict[tuple[object, ...], list[NetworkConfig]] = {}
     for config in configs:
         groups.setdefault(batch_group_key(config), []).append(config)
+    # diff_batch checkpoints each batch halfway and resumes it into a
+    # fresh kernel, so the comparison also covers the round trip.
+    resume_at = (window["warmup_cycles"] + window["measure_cycles"]) // 2
     failures = 0
     for members in groups.values():
         reports = diff_batch(members, **window)
@@ -117,7 +121,8 @@ def _diff_fused(configs: list[NetworkConfig], window: dict[str, int]) -> int:
         print(
             f"fused batch of {len(members)} ({kinds}): "
             f"{len(members) - len(diverged)}/{len(members)} members match "
-            f"their reference kernels on {compared} compared cycles"
+            f"their reference kernels on {compared} compared cycles, "
+            f"resumed from a checkpoint after cycle {resume_at}"
         )
         for report in diverged:
             print(f"  {report.describe()}")

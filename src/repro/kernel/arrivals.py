@@ -99,17 +99,20 @@ class _NeedMoreWords(Exception):
 
 @dataclass
 class ArrivalPlan:
-    """Per-source arrival schedules, padded into rectangular arrays.
+    """Per-source arrival schedules as ragged tables, rows back to back.
 
-    ``gaps[n, k]`` is the number of missed attempts the source makes
-    before its ``k``-th arrival; ``dests``/``offsets`` are the decoded
-    destination and sub-cycle offset.  Column ``counts[n]`` of ``gaps``
-    holds :data:`GAP_SENTINEL` so runtime countdowns past the decoded
-    horizon never fire.  ``attempts`` is the per-source attempt horizon
-    the plan covers.
+    Source ``n``'s row holds its ``counts[n]`` arrivals followed by one
+    sentinel entry, and each row starts where the previous one ends.
+    ``att`` is the cumulative
+    (1-based) attempt number of each arrival — the sentinel entry holds
+    :data:`GAP_SENTINEL`, so runtime countdowns past the decoded horizon
+    never fire — and ``dests``/``offsets`` the decoded destination and
+    sub-cycle offset, each in the narrowest unsigned dtype that holds
+    them.  ``attempts`` is the per-source attempt horizon the plan
+    covers.
     """
 
-    gaps: Any
+    att: Any
     dests: Any
     offsets: Any
     counts: Any
@@ -173,7 +176,7 @@ def _decode_uniform_vectorized(
     probability: float,
     num_ports: int,
     cycle_clocks: int,
-) -> tuple[list[int], Any, Any] | None:
+) -> tuple[Any, Any, Any] | None:
     """Fast path for uniform traffic; ``None`` defers to the scalar path.
 
     Uniform arrivals consume exactly one coin word per attempt and one
@@ -189,11 +192,10 @@ def _decode_uniform_vectorized(
     margin = 6 * int(math.sqrt(expected_hits + 1.0)) + 16
     count = total_attempts + int(expected_hits) + margin
     words = _raw_words(seed, name, count)
-    gaps: list[int] = []
     if probability >= 1.0:
         # The coin short-circuits: every attempt arrives, value words only.
         value_words = words[:total_attempts]
-        gaps = [0] * total_attempts
+        gaps: Any = numpy.zeros(total_attempts, dtype=numpy.int64)
     else:
         doubles = (words >> numpy.uint64(11)) * 2.0**-53
         candidates = numpy.flatnonzero(doubles < probability)
@@ -224,8 +226,7 @@ def _decode_uniform_vectorized(
             # Each hit consumes two words and each miss one, so the
             # stream covers ``len(words) - hits`` attempts in total.
             return None  # stream shorter than the horizon; rare
-        gap_arr = numpy.diff(pos_arr, prepend=-2) - 2
-        gaps = gap_arr.tolist()
+        gaps = numpy.diff(pos_arr, prepend=-2) - 2
         value_words = words[pos_arr + 1]
     low = (value_words & numpy.uint64(_MASK32)).astype(numpy.int64)
     high = (value_words >> numpy.uint64(32)).astype(numpy.int64)
@@ -258,13 +259,13 @@ def decode_arrivals(config: "NetworkConfig", total_attempts: int) -> ArrivalPlan
     )
     probability = config.offered_load
     num_ports = config.num_ports
-    per_source: list[tuple[list[int], Any, Any]] = []
+    per_source: list[tuple[Any, Any, Any]] = []
     for port in range(num_ports):
         name = f"omega/source{port}"
         if probability <= 0.0:
             per_source.append(([], [], []))
             continue
-        decoded: tuple[list[int], Any, Any] | None = None
+        decoded: tuple[Any, Any, Any] | None = None
         if pattern.kind == "uniform":
             decoded = _decode_uniform_vectorized(
                 config.seed,
@@ -297,24 +298,29 @@ def decode_arrivals(config: "NetworkConfig", total_attempts: int) -> ArrivalPlan
                 break
         per_source.append(decoded)
 
-    width = max((len(item[0]) for item in per_source), default=0)
-    gaps = numpy.full(
-        (num_ports, width + 1), GAP_SENTINEL, dtype=numpy.int64
+    counts = numpy.array(
+        [len(item[0]) for item in per_source], dtype=numpy.int64
     )
-    dests = numpy.zeros((num_ports, width + 1), dtype=numpy.int64)
-    offsets = numpy.zeros((num_ports, width + 1), dtype=numpy.int64)
-    counts = numpy.zeros(num_ports, dtype=numpy.int64)
+    ends = numpy.cumsum(counts + 1)
+    size = int(ends[-1]) if num_ports else 0
+    att = numpy.full(size, GAP_SENTINEL, dtype=numpy.int64)
+    dests = numpy.zeros(size, dtype=numpy.min_scalar_type(num_ports - 1))
+    offsets = numpy.zeros(
+        size, dtype=numpy.min_scalar_type(config.cycle_clocks - 1)
+    )
     for port, (source_gaps, source_dests, source_offsets) in enumerate(
         per_source
     ):
-        size = len(source_gaps)
-        counts[port] = size
-        if size:
-            gaps[port, :size] = source_gaps
-            dests[port, :size] = source_dests
-            offsets[port, :size] = source_offsets
+        count = int(counts[port])
+        if count:
+            row = slice(int(ends[port]) - count - 1, int(ends[port]) - 1)
+            numpy.cumsum(
+                numpy.asarray(source_gaps, dtype=numpy.int64) + 1, out=att[row]
+            )
+            dests[row] = source_dests
+            offsets[row] = source_offsets
     return ArrivalPlan(
-        gaps=gaps,
+        att=att,
         dests=dests,
         offsets=offsets,
         counts=counts,

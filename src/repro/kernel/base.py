@@ -8,14 +8,23 @@ Two kernels built from the same config must produce identical packed
 states after every cycle — that is the contract the differential
 harness (:mod:`repro.kernel.differential`) enforces.
 
+The numpy kernel is the default wherever it is exact: the paper's
+buffer kinds and arbiters, with no sanitizer or telemetry observer
+attached.  Everything else — the ``repro.arch`` zoo, the extension
+features, and any run the sanitizer or telemetry observes — runs on the
+reference kernel, the semantics oracle.  Both kernels checkpoint and
+resume (each in its own file format, see
+:func:`repro.network.simulator.load_checkpoint`).
+
 Backend resolution distinguishes a *forced* request (the ``--backend``
 flag, a service job field, an explicit ``backend=`` argument) from a
-*soft* preference (the ``REPRO_BACKEND`` environment variable).  A
-forced request that cannot be honoured — the numpy backend under
-telemetry, the sanitizer, checkpointing, or an unsupported config —
-raises :class:`~repro.errors.ConfigurationError`; a soft preference
-falls back to the reference kernel instead, because those paths are
-implemented only by the reference simulator's instrumented classes.
+*soft* preference (the ``REPRO_BACKEND`` environment variable, or the
+default when it is unset).  ``reference`` always selects the oracle.  A
+forced ``numpy`` request that cannot be honoured — under the sanitizer
+or telemetry, or for an unsupported config — raises
+:class:`~repro.errors.ConfigurationError`; a soft preference falls back
+to the reference kernel instead, because those paths are implemented
+only by the reference simulator's observed classes.
 """
 
 from __future__ import annotations
@@ -50,7 +59,10 @@ __all__ = [
 #: Recognized backend names, in preference-listing order.
 BACKENDS = ("reference", "numpy")
 
-DEFAULT_BACKEND = "reference"
+#: The backend a run gets when nothing is requested, wherever it is
+#: exact (see :func:`resolve_backend`); everything else runs on the
+#: ``reference`` kernel, the semantics oracle.
+DEFAULT_BACKEND = "numpy"
 
 #: Environment variable naming the soft backend preference.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -195,17 +207,17 @@ def resolve_backend(
     *,
     sanitize: bool = False,
     trace: bool = False,
-    checkpoint: bool = False,
 ) -> str:
     """Pick the backend for one run.
 
     ``backend`` is the forced request (already normalized or raw); when
-    ``None`` the ``REPRO_BACKEND`` preference applies softly.  The
-    instrumentation flags describe what the caller is about to do: the
-    sanitizer and telemetry observe the reference simulator's components
-    and checkpointing is implemented by it, so the numpy kernel refuses
-    them when forced and yields to the reference kernel when merely
-    preferred.
+    ``None`` the ``REPRO_BACKEND`` preference, or else
+    :data:`DEFAULT_BACKEND`, applies softly.  The instrumentation flags
+    describe what the caller is about to do: the sanitizer and telemetry
+    observe the reference simulator's components, so the numpy kernel
+    refuses them when forced and yields to the reference kernel when
+    merely preferred.  Checkpointing is no obstacle: both kernels
+    checkpoint and resume.
     """
     forced = backend is not None
     requested = (
@@ -220,8 +232,6 @@ def resolve_backend(
         reason = "the sanitizer observes the reference simulator's components"
     elif trace:
         reason = "telemetry observes the reference simulator's components"
-    elif checkpoint:
-        reason = "checkpoint/resume is implemented by the reference simulator"
     else:
         unsupported = numpy_unsupported_reason(config)
         if unsupported is not None:
@@ -233,10 +243,12 @@ def resolve_backend(
             f"the numpy backend cannot run this job ({reason}); "
             "drop --backend numpy or disable the conflicting feature"
         )
-    return DEFAULT_BACKEND
+    return "reference"
 
 
-def make_kernel(config: "NetworkConfig", backend: str = DEFAULT_BACKEND) -> SimKernel:
+def make_kernel(
+    config: "NetworkConfig", backend: str = "reference"
+) -> SimKernel:
     """Construct a kernel for ``config`` on the named backend."""
     normalized = normalize_backend(backend)
     if normalized == "reference":

@@ -22,7 +22,9 @@ a serialized trace replays bit-exactly with the standard tooling
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.analysis.counterexample import Counterexample
@@ -270,12 +272,17 @@ def diff_batch(
     Returns one report per member, in input order.  A fused divergence
     carries no counterexample: its replay would need the whole batch,
     so re-run the member alone with :func:`diff_kernels` to get one.
+
+    Halfway through the window the batch is saved to a checkpoint file
+    and resumed into a fresh kernel, which the comparison then follows
+    for the rest of the run, so the round trip is checked too.
     """
     from repro.kernel.numpy_kernel import NumpyKernel
     from repro.utils.digest import digest_json
 
     _check_window(measure_cycles, compare_every)
     total = warmup_cycles + measure_cycles
+    resume_at = total // 2
     fused = NumpyKernel.batch(list(configs))
     references = [make_kernel(config, "reference") for config in configs]
     kernels: list[SimKernel] = [fused, *references]
@@ -287,6 +294,11 @@ def diff_batch(
             if kernel.cycle == warmup_cycles:
                 kernel.begin_measurement()
             kernel.step()
+        if cycle + 1 == resume_at:
+            fused = _checkpoint_round_trip(
+                fused, warmup_cycles, measure_cycles
+            )
+            kernels[0] = fused
         if (cycle + 1) % compare_every and cycle + 1 != total:
             continue
         for sim, (reference, report) in enumerate(zip(references, reports)):
@@ -312,6 +324,19 @@ def diff_batch(
                 total,
             )
     return reports
+
+
+def _checkpoint_round_trip(
+    kernel: Any, warmup_cycles: int, measure_cycles: int
+) -> Any:
+    """Save a numpy kernel mid-run and resume it into a fresh kernel."""
+    from repro.kernel.numpy_kernel import NumpyKernel
+    from repro.network.simulator import load_checkpoint
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "round-trip.ckpt"
+        kernel.save_checkpoint(path, warmup_cycles, measure_cycles)
+        return NumpyKernel.from_checkpoint(load_checkpoint(path), path)
 
 
 def _check_window(measure_cycles: int, compare_every: int) -> None:

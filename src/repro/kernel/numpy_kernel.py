@@ -52,10 +52,18 @@ bit for bit.
 The result is byte-identical packed state — same packets, same grants,
 same meters, same RNG stream consumption — verified every cycle by
 :mod:`repro.kernel.differential`.
+
+A whole batch checkpoints into one ``.npz`` archive
+(:meth:`NumpyKernel.save_checkpoint`, read back by
+:func:`read_checkpoint`) and resumes bit-identically into a fresh kernel
+(:meth:`NumpyKernel.from_checkpoint`).
 """
 
 from __future__ import annotations
 
+import json
+import zipfile
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -64,13 +72,41 @@ from repro.errors import ConfigurationError
 from repro.kernel.arrivals import GAP_SENTINEL, decode_arrivals
 from repro.kernel.base import SimKernel, numpy_unsupported_reason
 from repro.network.metrics import Meters, SimulationResult
-from repro.network.simulator import NetworkConfig
+from repro.network.simulator import (
+    NetworkConfig,
+    exit_at_checkpoint,
+    write_checkpoint_file,
+)
 from repro.network.topology import OmegaTopology
 from repro.network.traffic import make_traffic
 from repro.switch.flow_control import Protocol
 from repro.utils.stats import OnlineStats
 
-__all__ = ["NumpyKernel", "batch_group_key"]
+__all__ = [
+    "CHECKPOINT_FORMAT",
+    "NumpyKernel",
+    "batch_group_key",
+    "read_checkpoint",
+]
+
+#: Format tag of numpy checkpoint files.  Bump whenever the set, shape
+#: or meaning of the saved arrays changes; loading refuses any other.
+CHECKPOINT_FORMAT = 1
+
+#: Kernel arrays a checkpoint carries verbatim: every register a run's
+#: future reads that the configs alone do not determine.  Their shapes
+#: and dtypes are fixed by the configs.  The packet pools (sized by the
+#: saved ``pool_sizes``) ride along; the arrival tables and the
+#: per-source targets are re-derived from the seeds on restore.
+_STATE_ARRAYS = (
+    "ring", "qhead", "qlen", "occb", "prio", "stale", "recv", "fwd",
+    "sink_recv", "sink_mis", "sring", "shead", "slen", "src_gen",
+    "src_stall", "att", "next_k", "next_idv", "stage_slots",
+)
+_POOL_ARRAYS = ("pk_dest", "pk_created", "pk_injected")
+
+#: Errors numpy and zipfile raise on a damaged ``.npz`` archive.
+_ARCHIVE_ERRORS = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile)
 
 #: Bit layout of the arbitration key: length in the high bits, stale
 #: count (smart scheme only) in the middle, output preference in the low
@@ -316,8 +352,9 @@ class NumpyKernel(SimKernel):
         # Packet pools.  Global packet id = the sim's pool base + local
         # id, so each simulation's local ids count 0, 1, 2, ... exactly
         # like the reference packet factory; ``prepare`` sizes each
-        # sim's id block to its own decoded arrivals.
-        self.pk_dest = np.zeros(1, dtype=i64)
+        # sim's id block to its own decoded arrivals.  Destinations are
+        # stored as narrow as the arrival tables hold them.
+        self.pk_dest = np.zeros(1, dtype=np.min_scalar_type(N - 1))
         self.pk_created = np.zeros(1, dtype=i64)
         self.pk_injected = np.zeros(1, dtype=i64)
         self.next_idv = np.zeros(B, dtype=i64)
@@ -479,26 +516,15 @@ class NumpyKernel(SimKernel):
         # arrivals and one sentinel entry, rows back to back from
         # ``_row0``, so their size (like the pools') follows the batch's
         # total traffic rather than B times its busiest simulation.
-        counts: list[Any] = []
-        parts: list[tuple[Any, Any, Any]] = []
-        for cfg in self.configs:
-            plan = decode_arrivals(cfg, total_cycles)
-            # Attempt number (1-based, cumulative) of each arrival; a
-            # row's sentinel entry stays unreachably large.
-            padded = plan.gaps >= GAP_SENTINEL
-            arr_att = np.cumsum(np.where(padded, 0, plan.gaps) + 1, axis=1)
-            arr_att[padded] = GAP_SENTINEL
-            keep = np.arange(arr_att.shape[1]) <= plan.counts[:, None]
-            parts.append(
-                (arr_att[keep], plan.dests[keep], plan.offsets[keep])
-            )
-            counts.append(plan.counts)
-        arrivals = np.concatenate(counts)
+        plans = [decode_arrivals(cfg, total_cycles) for cfg in self.configs]
+        arrivals = np.concatenate([plan.counts for plan in plans])
         lengths = arrivals + 1
         self._row0 = np.cumsum(lengths) - lengths
         self._arr_att, self._dests, self._offsets = (
-            np.concatenate(column) for column in zip(*parts)
+            np.concatenate([getattr(plan, name) for plan in plans])
+            for name in ("att", "dests", "offsets")
         )
+        del plans
         self._plan_attempts = total_cycles
         # Re-deriving the plan over a longer horizon reproduces the old
         # prefix exactly, so live cursors (att, next_k) stay valid; only
@@ -527,7 +553,7 @@ class NumpyKernel(SimKernel):
                 array += shift[np.searchsorted(old_base, array, "right") - 1]
         for attr in ("pk_dest", "pk_created", "pk_injected"):
             pool = getattr(self, attr)
-            grown = np.zeros(int(sizes.sum()), dtype=np.int64)
+            grown = np.zeros(int(sizes.sum()), dtype=pool.dtype)
             for b in old_sizes.nonzero()[0].tolist():
                 old = int(old_sizes[b])
                 start = int(old_base[b])
@@ -585,21 +611,168 @@ class NumpyKernel(SimKernel):
         )
 
     def run_batch(
-        self, warmup_cycles: int = 2000, measure_cycles: int = 10000
+        self,
+        warmup_cycles: int = 2000,
+        measure_cycles: int = 10000,
+        checkpoint_every: int | None = None,
+        checkpoint_path: str | Path | None = None,
     ) -> list[SimulationResult]:
-        """Run the whole batch and summarize each simulation."""
+        """Run the whole batch and summarize each simulation.
+
+        With both ``checkpoint_every`` and ``checkpoint_path`` set, the
+        whole batch is checkpointed (:meth:`save_checkpoint`) every
+        ``checkpoint_every`` cycles, exactly like the reference
+        simulator's ``run``; a kernel restored from such a checkpoint
+        continues here and finishes bit-identical to an uninterrupted
+        run.
+        """
         if warmup_cycles < 0 or measure_cycles < 1:
             raise ConfigurationError("invalid warmup/measure cycle counts")
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ConfigurationError("checkpoint_every must be >= 1")
         total = warmup_cycles + measure_cycles
+        if self._cycle > total:
+            raise ConfigurationError(
+                f"kernel already at cycle {self._cycle}, beyond the "
+                f"requested {total}-cycle window"
+            )
         self.prepare(total)
         while self._cycle < total:
             if self._cycle == warmup_cycles:
                 self.begin_measurement()
             self.step()
+            if (
+                checkpoint_every is not None
+                and checkpoint_path is not None
+                and self._cycle < total
+                and self._cycle % checkpoint_every == 0
+            ):
+                self.save_checkpoint(
+                    checkpoint_path,
+                    warmup_cycles,
+                    measure_cycles,
+                    checkpoint_every,
+                )
+                exit_at_checkpoint(self._cycle)
         return [
             self.result_for(sim, warmup_cycles, measure_cycles)
             for sim in range(self.B)
         ]
+
+    # ------------------------------------------------------------------
+    # Checkpoint / resume
+    # ------------------------------------------------------------------
+
+    def save_checkpoint(
+        self,
+        path: str | Path,
+        warmup_cycles: int,
+        measure_cycles: int,
+        checkpoint_every: int | None = None,
+    ) -> Path:
+        """Write the whole batch as a resumable ``.npz`` checkpoint.
+
+        The archive holds the registers of :data:`_STATE_ARRAYS`, the
+        packet pools and a JSON header (format, backend, run window,
+        configs, cycle, measurement start and every simulation's exact
+        meters).  The write is atomic and never perturbs the run.
+        """
+        self._flush_meters()
+        header = {
+            "format": CHECKPOINT_FORMAT,
+            "backend": "numpy",
+            "warmup_cycles": warmup_cycles,
+            "measure_cycles": measure_cycles,
+            "checkpoint_every": checkpoint_every,
+            "configs": [config.to_state() for config in self.configs],
+            "cycle": self._cycle,
+            "measure_start_clock": self.measure_start_clock,
+            "meters": [meters.snapshot_state() for meters in self.metersL],
+        }
+        arrays = {
+            name: getattr(self, name) for name in _STATE_ARRAYS + _POOL_ARRAYS
+        }
+        arrays["pool_sizes"] = self._pool_sizes
+        arrays["header"] = np.frombuffer(
+            json.dumps(header).encode(), dtype=np.uint8
+        )
+        return write_checkpoint_file(
+            path, lambda handle: np.savez(handle, **arrays)
+        )
+
+    @classmethod
+    def from_checkpoint(
+        cls, document: dict[str, Any], path: str | Path = "checkpoint"
+    ) -> "NumpyKernel":
+        """A fresh kernel for a :func:`read_checkpoint` document, restored."""
+        try:
+            configs = [
+                NetworkConfig.from_state(state)
+                for state in document["configs"]
+            ]
+            kernel = cls.batch(configs)
+        except (ConfigurationError, KeyError, TypeError, ValueError) as error:
+            raise ConfigurationError(
+                f"checkpoint {path} names configs no numpy kernel can "
+                f"run: {error}"
+            ) from error
+        kernel.restore(document, path)
+        return kernel
+
+    def restore(
+        self, document: dict[str, Any], path: str | Path = "checkpoint"
+    ) -> None:
+        """Overwrite this fresh kernel with a :func:`read_checkpoint` document.
+
+        The kernel must have been built from the configs the checkpoint
+        was written under, and every saved array must have the shape and
+        dtype those configs give it (both checked, naming ``path``).
+        Arrays are copied in place, so the flat views wired at
+        construction stay valid.
+        """
+        if document["configs"] != [c.to_state() for c in self.configs]:
+            raise ConfigurationError(
+                f"checkpoint {path} was written under different configs; "
+                "restore it into a kernel built from the same batch"
+            )
+        state = document["state"]
+        arrays = state["arrays"]
+
+        def saved(name: str, shape: tuple[int, ...], dtype: Any) -> Any:
+            array = arrays.get(name)
+            if array is None or array.shape != shape or array.dtype != dtype:
+                found = (
+                    "missing"
+                    if array is None
+                    else f"{array.dtype}{list(array.shape)}"
+                )
+                raise ConfigurationError(
+                    f"checkpoint {path}: array {name!r} is {found}, "
+                    f"expected {np.dtype(dtype)}{list(shape)}"
+                )
+            return array
+
+        for name in _STATE_ARRAYS:
+            live = getattr(self, name)
+            live[...] = saved(name, live.shape, live.dtype)
+        sizes = saved("pool_sizes", (self.B,), np.int64)
+        if (sizes < 0).any():
+            raise ConfigurationError(f"checkpoint {path}: negative pool sizes")
+        for name in _POOL_ARRAYS:
+            pool = saved(name, (int(sizes.sum()),), getattr(self, name).dtype)
+            setattr(self, name, pool.copy())
+        self._pool_sizes = sizes.copy()
+        self._pool_base = np.cumsum(sizes) - sizes
+        try:
+            for meters, meters_state in zip(self.metersL, state["meters"]):
+                meters.restore_state(meters_state)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ConfigurationError(
+                f"checkpoint {path}: malformed meters ({error!r})"
+            ) from error
+        self._cycle = state["cycle"]
+        self.measure_start_clock = state["measure_start_clock"]
+        self.prepare(document["warmup_cycles"] + document["measure_cycles"])
 
     # ------------------------------------------------------------------
     # One stage: arbitration, pops, forwards / deliveries
@@ -1289,7 +1462,8 @@ class NumpyKernel(SimKernel):
                     self._pool_base[sims_p] + self.next_idv[sims_p] + within
                 )
                 self.next_idv += per_sim
-            created = self._cycle * self.clk + offsets
+            created = offsets.astype(np.int64)
+            created += self._cycle * self.clk
             self.pk_dest[ids] = destinations
             self.pk_created[ids] = created
             self.src_gen[ports] += 1
@@ -1468,3 +1642,70 @@ class NumpyKernel(SimKernel):
             ],
             "meters": self.metersL[sim].snapshot_state(),
         }
+
+
+def read_checkpoint(path: str | Path) -> dict[str, Any]:
+    """Load and validate a numpy checkpoint written by ``save_checkpoint``.
+
+    Returns the :func:`repro.network.simulator.load_checkpoint` document
+    shape: the header's run window, backend and configs at top level,
+    and under ``state`` the cycle, measurement start, per-simulation
+    meters and the saved arrays.  The archive is read with
+    ``allow_pickle=False``; a truncated or damaged file, a wrong format
+    or backend tag or a malformed header raises
+    :class:`~repro.errors.ConfigurationError` naming ``path``.  Shapes
+    and dtypes are checked against the configs by
+    :meth:`NumpyKernel.restore`.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        header = json.loads(arrays.pop("header").tobytes().decode())
+    except _ARCHIVE_ERRORS as error:
+        raise ConfigurationError(
+            f"checkpoint {path} is not a readable numpy checkpoint: "
+            f"{type(error).__name__}: {error}"
+        ) from error
+    if not isinstance(header, dict):
+        raise ConfigurationError(f"checkpoint {path}: header is not an object")
+    if (
+        header.get("format") != CHECKPOINT_FORMAT
+        or header.get("backend") != "numpy"
+    ):
+        raise ConfigurationError(
+            f"checkpoint {path} has format {header.get('format')!r} and "
+            f"backend {header.get('backend')!r}, expected format "
+            f"{CHECKPOINT_FORMAT} and backend 'numpy'"
+        )
+    configs = header.get("configs")
+    meters = header.get("meters")
+    windows = [
+        header.get(name)
+        for name in ("warmup_cycles", "measure_cycles", "cycle")
+    ]
+    every = header.get("checkpoint_every")
+    start = header.get("measure_start_clock")
+    if (
+        not isinstance(configs, list)
+        or not configs
+        or not isinstance(meters, list)
+        or len(meters) != len(configs)
+        or not all(type(value) is int and value >= 0 for value in windows)
+        or not (every is None or (type(every) is int and every >= 1))
+        or not (start is None or type(start) is int)
+    ):
+        raise ConfigurationError(f"checkpoint {path}: malformed header")
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "backend": "numpy",
+        "warmup_cycles": header["warmup_cycles"],
+        "measure_cycles": header["measure_cycles"],
+        "checkpoint_every": every,
+        "configs": configs,
+        "state": {
+            "cycle": header["cycle"],
+            "measure_start_clock": start,
+            "meters": meters,
+            "arrays": arrays,
+        },
+    }

@@ -29,7 +29,7 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.core.buffer import SwitchBuffer
 from repro.core.packet import Packet, PacketFactory
@@ -48,11 +48,14 @@ __all__ = [
     "NetworkConfig",
     "OmegaNetworkSimulator",
     "SNAPSHOT_VERSION",
+    "exit_at_checkpoint",
     "load_checkpoint",
     "make_simulator",
     "restore_simulator",
+    "resume_batch",
     "resume_run",
     "simulate",
+    "write_checkpoint_file",
 ]
 
 #: Clock cycles represented by one network cycle (8 transmit + 4 route).
@@ -72,6 +75,37 @@ CHECKPOINT_EXIT_ENV = "REPRO_TEST_EXIT_AT_CHECKPOINT"
 
 #: Process exit code used by the :data:`CHECKPOINT_EXIT_ENV` test hook.
 CHECKPOINT_EXIT_CODE = 23
+
+#: Leading bytes of a zip archive: a numpy-backend checkpoint file.
+_ZIP_MAGIC = b"PK\x03\x04"
+
+
+def write_checkpoint_file(
+    path: str | Path, write: Callable[[BinaryIO], object]
+) -> Path:
+    """Write a checkpoint file atomically.
+
+    ``write`` fills a binary scratch file next to ``path``, which then
+    replaces ``path`` in one rename, so a process killed mid-write
+    leaves the previous checkpoint intact.  Both backends write their
+    checkpoints through here.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    scratch = target.with_name(f"{target.name}.tmp{os.getpid()}")
+    with open(scratch, "wb") as handle:
+        write(handle)
+    os.replace(scratch, target)
+    return target
+
+
+def exit_at_checkpoint(cycle: int) -> None:
+    """The :data:`CHECKPOINT_EXIT_ENV` test hook, called after each
+    checkpoint write: die like a killed worker, leaving the just-written
+    checkpoint as the recovery point."""
+    exit_at = os.environ.get(CHECKPOINT_EXIT_ENV)
+    if exit_at is not None and cycle == int(exit_at):
+        os._exit(CHECKPOINT_EXIT_CODE)
 
 
 @dataclass(frozen=True)
@@ -586,7 +620,6 @@ class OmegaNetworkSimulator:
         else:
             every = None
             target = None
-        exit_at = os.environ.get(CHECKPOINT_EXIT_ENV)
         while self.cycle < total_cycles:
             if (
                 self.cycle == warmup_cycles
@@ -606,10 +639,7 @@ class OmegaNetworkSimulator:
                     measure_cycles,
                     checkpoint_every,
                 )
-                if exit_at is not None and self.cycle == int(exit_at):
-                    # Test hook: die like a killed worker, leaving the
-                    # just-written checkpoint as the recovery point.
-                    os._exit(CHECKPOINT_EXIT_CODE)
+                exit_at_checkpoint(self.cycle)
         self.meters.cycles = measure_cycles
         return SimulationResult(
             buffer_kind=self.config.buffer_kind,
@@ -744,17 +774,14 @@ class OmegaNetworkSimulator:
         """
         document = {
             "format": SNAPSHOT_VERSION,
+            "backend": "reference",
             "warmup_cycles": warmup_cycles,
             "measure_cycles": measure_cycles,
             "checkpoint_every": checkpoint_every,
             "state": self.snapshot(),
         }
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        scratch = target.with_name(f"{target.name}.tmp{os.getpid()}")
-        scratch.write_text(json.dumps(document))
-        os.replace(scratch, target)
-        return target
+        data = json.dumps(document).encode()
+        return write_checkpoint_file(path, lambda handle: handle.write(data))
 
     @property
     def total_buffered(self) -> int:
@@ -842,45 +869,41 @@ def simulate(
     checkpoint_path: str | Path | None = None,
     backend: str | None = None,
 ) -> SimulationResult:
-    """Build a simulator for ``config`` and run it once.
+    """Simulate ``config`` once, on the backend the resolution rules pick.
 
     ``sanitize`` as in :func:`make_simulator`; sanitized runs produce
     bit-identical results and additionally surface hardware-model
     violations through the simulator's sanitizer report.
-    ``checkpoint_every``/``checkpoint_path`` as in
-    :meth:`OmegaNetworkSimulator.run`.
+    ``checkpoint_every``/``checkpoint_path`` write a resumable
+    checkpoint every that many cycles (see :func:`resume_run`).
 
     ``backend`` forces a simulation backend (``"reference"`` or
-    ``"numpy"``); ``None`` honours the ``REPRO_BACKEND`` preference.
-    Both backends produce byte-identical results; instrumented paths
-    (sanitizer, telemetry, checkpointing) are implemented only by the
-    reference simulator, so a forced numpy request combined with one of
-    them raises :class:`~repro.errors.ConfigurationError` while a mere
-    preference silently falls back — the resolution rules of
-    :func:`repro.kernel.base.resolve_backend`.
+    ``"numpy"``); ``None`` honours the ``REPRO_BACKEND`` preference and
+    otherwise runs on the numpy kernel wherever it is exact.  Both
+    backends produce byte-identical results and both checkpoint; the
+    sanitizer and telemetry observe only the reference simulator, so a
+    forced numpy request combined with one of them raises
+    :class:`~repro.errors.ConfigurationError` while a soft preference
+    falls back — the rules of :func:`repro.kernel.base.resolve_backend`.
     """
     from repro.analysis.sanitizer import sanitize_enabled
     from repro.kernel.base import resolve_backend
-    from repro.telemetry.session import metrics_directory, trace_directory
+    from repro.telemetry.session import telemetry_enabled
 
     effective_sanitize = sanitize if sanitize is not None else sanitize_enabled()
-    tracing = (
-        trace_directory() is not None or metrics_directory() is not None
-    )
-    checkpointing = (
-        checkpoint_every is not None and checkpoint_path is not None
-    )
     resolved = resolve_backend(
-        config,
-        backend,
-        sanitize=effective_sanitize,
-        trace=tracing,
-        checkpoint=checkpointing,
+        config, backend, sanitize=effective_sanitize, trace=telemetry_enabled()
     )
     if resolved == "numpy":
         from repro.kernel.numpy_kernel import NumpyKernel
 
-        return NumpyKernel(config).run(warmup_cycles, measure_cycles)
+        (result,) = NumpyKernel(config).run_batch(
+            warmup_cycles,
+            measure_cycles,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+        )
+        return result
     return make_simulator(config, sanitize).run(
         warmup_cycles,
         measure_cycles,
@@ -890,10 +913,36 @@ def simulate(
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
-    """Read and validate a checkpoint document written by ``run``."""
+    """Read and validate a checkpoint file written by either backend.
+
+    A reference checkpoint is a JSON document; a numpy checkpoint is an
+    ``.npz`` archive (:func:`repro.kernel.numpy_kernel.read_checkpoint`).
+    Both come back as a document with the run window, the ``backend``
+    that wrote it and the saved ``state`` (whose ``cycle`` is the cycle
+    the checkpoint was taken at).  Anything unreadable raises
+    :class:`~repro.errors.ConfigurationError` naming the path.
+    """
+    try:
+        with open(path, "rb") as handle:
+            magic = handle.read(len(_ZIP_MAGIC))
+    except OSError as error:
+        raise ConfigurationError(
+            f"cannot read checkpoint {path}: {error}"
+        ) from error
+    if magic == _ZIP_MAGIC:
+        from repro.kernel.base import numpy_available
+
+        if not numpy_available():
+            raise ConfigurationError(
+                f"checkpoint {path} was written by the numpy backend, "
+                "which needs numpy installed"
+            )
+        from repro.kernel.numpy_kernel import read_checkpoint
+
+        return read_checkpoint(path)
     try:
         document = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
+    except (OSError, ValueError) as error:
         raise ConfigurationError(
             f"checkpoint {path} is not a JSON document: {error}"
         ) from error
@@ -903,6 +952,11 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
         raise ConfigurationError(
             f"checkpoint {path} has format {document.get('format')!r}, "
             f"expected {SNAPSHOT_VERSION}"
+        )
+    if document.get("backend", "reference") != "reference":
+        raise ConfigurationError(
+            f"checkpoint {path} is a JSON document but names backend "
+            f"{document.get('backend')!r}; only reference checkpoints are JSON"
         )
     return document
 
@@ -923,20 +977,74 @@ def restore_simulator(
     return simulator
 
 
+def resume_batch(
+    path: str | Path, sanitize: bool | None = None
+) -> list[SimulationResult]:
+    """Resume an interrupted run from its last checkpoint file.
+
+    Serves both backends: a reference checkpoint holds one simulation
+    and resumes on the reference simulator (sanitized on request, as in
+    :func:`make_simulator`); a numpy checkpoint holds a whole fused
+    batch and resumes on a fresh :class:`~repro.kernel.numpy_kernel
+    .NumpyKernel`.  Returns every simulation's result, in batch order,
+    bit-identical to the uninterrupted run: the checkpoint captures
+    every RNG cursor, register and accumulator, and the resumed run
+    keeps checkpointing into ``path`` on the original cadence.  The
+    sanitizer and telemetry cannot observe a numpy run, so resuming a
+    numpy checkpoint under either raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    return _resume(load_checkpoint(path), path, sanitize)
+
+
 def resume_run(
     path: str | Path, sanitize: bool | None = None
 ) -> SimulationResult:
-    """Resume an interrupted run from its last checkpoint file.
+    """Resume a one-simulation checkpoint of either backend.
 
-    The finished result is bit-identical to the uninterrupted run:
-    the checkpoint captures every RNG stream, register and accumulator,
-    and the resumed ``run`` keeps checkpointing on the original cadence.
+    :func:`resume_batch` for a checkpoint written by :func:`simulate`;
+    a fused numpy batch checkpoint holds several simulations and must be
+    resumed with :func:`resume_batch`.
     """
     document = load_checkpoint(path)
+    size = len(document.get("configs", [None]))
+    if size != 1:
+        raise ConfigurationError(
+            f"checkpoint {path} holds a batch of {size} simulations; "
+            "resume it with resume_batch"
+        )
+    (result,) = _resume(document, path, sanitize)
+    return result
+
+
+def _resume(
+    document: dict[str, Any], path: str | Path, sanitize: bool | None
+) -> list[SimulationResult]:
+    from repro.analysis.sanitizer import sanitize_enabled
+    from repro.telemetry.session import telemetry_enabled
+
+    window = (document["warmup_cycles"], document["measure_cycles"])
+    if document.get("backend") == "numpy":
+        observed = sanitize if sanitize is not None else sanitize_enabled()
+        if observed or telemetry_enabled():
+            raise ConfigurationError(
+                f"checkpoint {path} was written by the numpy backend, "
+                "which the sanitizer and telemetry cannot observe; rerun "
+                'the simulation with backend="reference" to observe it'
+            )
+        from repro.kernel.numpy_kernel import NumpyKernel
+
+        kernel = NumpyKernel.from_checkpoint(document, path)
+        return kernel.run_batch(
+            *window,
+            checkpoint_every=document["checkpoint_every"],
+            checkpoint_path=path,
+        )
     simulator = restore_simulator(document["state"], sanitize)
-    return simulator.run(
-        document["warmup_cycles"],
-        document["measure_cycles"],
-        checkpoint_every=document["checkpoint_every"],
-        checkpoint_path=path,
-    )
+    return [
+        simulator.run(
+            *window,
+            checkpoint_every=document["checkpoint_every"],
+            checkpoint_path=path,
+        )
+    ]

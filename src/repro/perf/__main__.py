@@ -6,7 +6,7 @@ Examples::
     python -m repro.perf --quick -o BENCH.json
 
     # Compare against the committed baseline (CI perf-smoke job):
-    python -m repro.perf --quick -o BENCH.json \\
+    python -m repro.perf --quick -o BENCH.json --backend reference \\
         --baseline benchmarks/BENCH_2_quick.json --max-regression 3.0
 
     # Profile one experiment's hot path:
@@ -57,7 +57,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="force the simulation backend (recorded in the benchmark "
         "JSON; baselines from a different backend are refused).  Unset, "
-        "the REPRO_BACKEND environment variable applies softly",
+        "the REPRO_BACKEND environment variable applies softly, else "
+        "numpy wherever it is exact",
     )
     parser.add_argument(
         "-o",

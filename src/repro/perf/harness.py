@@ -148,9 +148,9 @@ def run_harness(
             )
     if cache is not None:
         cache.clear()
-    from repro.kernel.base import requested_backend
+    from repro.kernel.base import DEFAULT_BACKEND, requested_backend
 
-    effective_backend = backend or requested_backend() or "reference"
+    effective_backend = backend or requested_backend() or DEFAULT_BACKEND
     records: dict[str, dict] = {}
     for experiment_id in experiment_ids:
         record = measure_experiment(

@@ -3,37 +3,42 @@
 Every cell of the paper's tables is one :class:`NetworkConfig` simulated
 in isolation; all randomness derives from ``config.seed`` through named
 substreams, so a run's result does not depend on which process executes
-it or in what order.  ``parallel_simulate`` exploits that: it fans a list
-of configs over a :class:`~concurrent.futures.ProcessPoolExecutor` and
-returns results in input order, byte-identical to the serial loop.
+it, in what order, or which other configs share its batch.
+:func:`parallel_simulate` exploits that with one route for both
+simulation backends:
 
-The same purity makes the work *memoizable*.  When an experiment runs
-under an active :mod:`repro.cache` context, :func:`parallel_map` keys
-each unit of work by its canonical payload and the source-tree
-fingerprint, serves hits straight from the content-addressed store, and
-dispatches only the misses to the pool — a warm re-run of an unchanged
-suite performs zero simulations.
+1. each config is looked up in the result cache (when a
+   :mod:`repro.cache` context is active) — a warm re-run of an
+   unchanged suite performs zero simulations;
+2. the misses become :class:`SimTask` batch tasks.  Configs that
+   resolve to the numpy backend and share a
+   :func:`~repro.kernel.numpy_kernel.batch_group_key` form one group,
+   split into at most ``jobs`` interleaved tasks (member ``k`` goes to
+   task ``k % n``, which balances loads sorted along a sweep); each task
+   runs as one fused :class:`~repro.kernel.numpy_kernel.NumpyKernel`
+   batch.  Every reference config is a task of its own — a batch of
+   one;
+3. all tasks run through one executor: the active context's
+   ``dispatcher`` when it carries one (:mod:`repro.service` installs
+   its supervised worker pool this way, so the same experiment code runs
+   under heartbeat monitoring and per-task deadlines), else
+   :func:`_dispatch` — a :class:`~concurrent.futures.ProcessPoolExecutor`
+   over ``jobs`` processes, or a plain in-process loop for ``jobs=1``.
 
-``jobs=1`` (the default everywhere) bypasses the pool entirely — the
-serial path runs the exact same ``simulate`` calls in the parent process,
-which keeps single-job behaviour free of multiprocessing overhead and
-makes the serial/parallel equivalence trivial to test.
+Results come back in input order, byte-identical for any ``jobs`` value
+and either backend.
 
 A worker that dies (segfault, OOM kill, ``os._exit``) surfaces as a
 :class:`~repro.errors.WorkerFailedError` rather than a hang or a raw
 ``BrokenProcessPool`` — unless the active context has checkpointing
-configured, in which case the still-pending tasks are retried in a fresh
-pool (after a deterministic-jitter backoff, budget bounded by
-:data:`RESTART_POLICY`) and each replacement worker resumes its
-simulation from the dead worker's last on-disk checkpoint instead of
-starting over.  When the budget runs out the error names the task, its
-attempt count and the checkpoint a manual retry could resume from.
-
-A service-grade alternative exists for the pool itself: when the active
-:class:`~repro.cache.runtime.CacheContext` carries a ``dispatcher``, all
-execution is delegated to it — :mod:`repro.service` installs its
-supervised worker pool this way, so the same experiment code runs under
-heartbeat monitoring and per-task deadlines without changing here.
+configured.  Then every task checkpoints into the context's directory
+(a reference task as a JSON snapshot, a numpy task as one ``.npz``
+archive of its whole batch), the still-pending tasks are retried in a
+fresh pool (after a deterministic-jitter backoff, budget bounded by
+:data:`RESTART_POLICY`), and each replacement worker resumes its task
+from the dead worker's last on-disk checkpoint instead of starting
+over.  When the budget runs out the error names the task, its attempt
+count and the checkpoint a manual retry could resume from.
 """
 
 from __future__ import annotations
@@ -43,11 +48,12 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.cache import runtime
-from repro.cache.keys import cache_key, canonical_json
+from repro.cache.keys import cache_key
 from repro.utils.digest import digest_json
 from repro.errors import ConfigurationError, WorkerFailedError
 from repro.utils.backoff import BackoffPolicy
@@ -58,11 +64,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "RESTART_POLICY",
+    "SimTask",
     "parallel_map",
     "parallel_simulate",
     "resolve_jobs",
     "reset_simulated_cycles",
     "simulated_cycles",
+    "task_checkpoint",
+    "task_simulations",
 ]
 
 #: Network cycles simulated through this module since the last reset
@@ -102,15 +111,35 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _task_checkpoint(item: Any) -> str | None:
-    """The checkpoint path a task item carries, when it carries one.
+@dataclass(frozen=True)
+class SimTask:
+    """One unit of pool work: a batch of simulations on one backend.
 
-    :func:`parallel_simulate` encodes checkpointed work as a 5-tuple
-    ending in the checkpoint path; anything else is uncheckpointed.
+    A numpy task fuses its configs into one
+    :class:`~repro.kernel.numpy_kernel.NumpyKernel` batch; a reference
+    task holds exactly one config.  ``checkpoint`` names the task's
+    checkpoint file when checkpointing is configured: a task whose file
+    already exists belonged to a worker that died mid-run, and its
+    replacement resumes from the file instead of starting over.
     """
-    if isinstance(item, tuple) and len(item) == 5 and isinstance(item[4], str):
-        return item[4]
-    return None
+
+    backend: str
+    configs: tuple["NetworkConfig", ...]
+    warmup_cycles: int
+    measure_cycles: int
+    checkpoint_every: int | None = None
+    checkpoint: str | None = None
+
+
+def task_checkpoint(item: Any) -> str | None:
+    """The checkpoint path a pool work item carries, when it carries one."""
+    return item.checkpoint if isinstance(item, SimTask) else None
+
+
+def task_simulations(item: Any) -> int:
+    """Simulations one pool work item runs: a batch task counts each
+    member, any other item counts one."""
+    return len(item.configs) if isinstance(item, SimTask) else 1
 
 
 def _dispatch(
@@ -152,7 +181,7 @@ def _dispatch(
             budget = RESTART_POLICY.max_attempts if resumable else 1
             worst = max(pending, key=lambda i: attempts[i])
             if attempts[worst] >= budget:
-                checkpoint = _task_checkpoint(items[worst])
+                checkpoint = task_checkpoint(items[worst])
                 detail = (
                     f"resumable from checkpoint {checkpoint}"
                     if checkpoint is not None
@@ -166,6 +195,38 @@ def _dispatch(
                     checkpoint=checkpoint,
                 ) from exc
             time.sleep(RESTART_POLICY.delay(attempts[worst], key="pool"))
+
+
+def _execute(
+    fn: Callable[[Any], Any], items: list[Any], jobs: int
+) -> list[Any]:
+    """Run every item on the context's dispatcher, else :func:`_dispatch`."""
+    context = runtime.active()
+    if context is not None and context.dispatcher is not None:
+        return context.dispatcher(fn, items)
+    resumable = context is not None and context.checkpointing
+    return _dispatch(fn, items, jobs, resumable)
+
+
+def _memo(
+    codec: str | None, payloads: Sequence[Any]
+) -> tuple[list[Any], Callable[[int, Any], None]]:
+    """Cached results for ``payloads`` (``None`` marks a miss) and a
+    function that stores the fresh result of payload ``index``.
+
+    Without a codec or an active cache every payload misses and storing
+    is a no-op.
+    """
+    context = runtime.active()
+    if codec is None or context is None or context.cache is None:
+        return [None] * len(payloads), lambda index, result: None
+    cache, experiment = context.cache, context.experiment
+    keys = [cache_key(experiment, codec, payload) for payload in payloads]
+
+    def store(index: int, result: Any) -> None:
+        cache.put(keys[index], experiment, codec, result)
+
+    return [cache.get(key) for key in keys], store
 
 
 def parallel_map(
@@ -193,210 +254,143 @@ def parallel_map(
     defaults to the items themselves) and hits skip execution entirely.
     Cached results must never be ``None`` — ``None`` is the miss
     sentinel.  ``on_executed`` receives the number of items actually
-    executed (for the harness's cycle accounting).
+    executed.
     """
     items = list(items)
     jobs = resolve_jobs(jobs)
-    context = runtime.active()
-    resumable = context is not None and context.checkpointing
-    dispatcher = context.dispatcher if context is not None else None
-
-    def execute(work: list[Any]) -> list[Any]:
-        if dispatcher is not None:
-            return dispatcher(fn, work)
-        return _dispatch(fn, work, jobs, resumable)
-
-    cache = context.cache if context is not None and codec is not None else None
-    if cache is None or context is None:
-        if on_executed is not None:
-            on_executed(len(items))
-        return execute(items)
     described = list(payloads) if payloads is not None else items
     if len(described) != len(items):
         raise ConfigurationError(
             f"parallel_map got {len(items)} items but "
             f"{len(described)} payloads"
         )
-    keys = [cache_key(context.experiment, codec, p) for p in described]
-    results: list[Any] = [None] * len(items)
-    missed: list[int] = []
-    for index, key in enumerate(keys):
-        hit = cache.get(key)
-        if hit is None:
-            missed.append(index)
-        else:
-            results[index] = hit
+    results, store = _memo(codec, described)
+    missed = [index for index, hit in enumerate(results) if hit is None]
     if on_executed is not None:
         on_executed(len(missed))
     if missed:
-        fresh = execute([items[i] for i in missed])
+        fresh = _execute(fn, [items[i] for i in missed], jobs)
         for index, result in zip(missed, fresh):
-            cache.put(keys[index], context.experiment, codec, result)
+            store(index, result)
             results[index] = result
     return results
 
 
-def _simulate_task(task: tuple[Any, ...]) -> "SimulationResult":
-    """Pool worker: run one simulation, resumable when checkpointed.
+def _simulate_task(task: SimTask) -> list["SimulationResult"]:
+    """Pool worker: run one batch task, resumable when checkpointed.
 
-    Accepts ``(config, warmup, measure)`` or the checkpointed form
-    ``(config, warmup, measure, checkpoint_every, checkpoint_path)``.
-    A checkpointed task whose file already exists belonged to a worker
+    A task whose checkpoint file already exists belonged to a worker
     that died mid-run: the replacement resumes from the checkpoint — a
     bit-identical continuation — instead of starting over.  The file is
-    removed once the run completes.
+    removed once the batch completes.
     """
     # Imported here (cached after the first call) so this module can be
     # imported by repro.network.saturation without a circular import.
-    from repro.network.simulator import resume_run, simulate
+    from repro.network.simulator import resume_batch, simulate
 
-    if len(task) == 3:
-        config, warmup_cycles, measure_cycles = task
-        return simulate(config, warmup_cycles, measure_cycles)
-    config, warmup_cycles, measure_cycles, every, path = task
-    checkpoint = Path(path)
-    if checkpoint.exists():
-        result = resume_run(checkpoint)
-    else:
-        result = simulate(
-            config,
-            warmup_cycles,
-            measure_cycles,
-            checkpoint_every=every,
+    checkpoint = Path(task.checkpoint) if task.checkpoint is not None else None
+    window = (task.warmup_cycles, task.measure_cycles)
+    if checkpoint is not None and checkpoint.exists():
+        results = resume_batch(checkpoint)
+    elif task.backend == "numpy":
+        from repro.kernel.numpy_kernel import NumpyKernel
+
+        results = NumpyKernel.batch(list(task.configs)).run_batch(
+            *window,
+            checkpoint_every=task.checkpoint_every,
             checkpoint_path=checkpoint,
         )
-    checkpoint.unlink(missing_ok=True)
-    return result
+    else:
+        (config,) = task.configs
+        results = [
+            simulate(
+                config,
+                *window,
+                checkpoint_every=task.checkpoint_every,
+                checkpoint_path=checkpoint,
+                backend=task.backend,
+            )
+        ]
+    if checkpoint is not None:
+        checkpoint.unlink(missing_ok=True)
+    return results
 
 
 def _resolve_backends(
-    configs: Sequence["NetworkConfig"],
-    backend: str | None,
-    context: Any,
+    configs: Sequence["NetworkConfig"], backend: str | None
 ) -> list[str]:
     """Per-config backend resolution under the ambient instrumentation.
 
-    The sanitizer and telemetry are enabled through the environment, and
-    checkpointing through the active cache context — exactly the signals
-    each worker's :func:`~repro.network.simulator.simulate` call would
-    see — so resolving here keeps the dispatch decision and the worker
-    behaviour consistent.
+    The sanitizer and telemetry are enabled through the environment —
+    exactly the signals each worker's
+    :func:`~repro.network.simulator.simulate` call would see — so
+    resolving here keeps the dispatch decision and the worker behaviour
+    consistent.
     """
     from repro.analysis.sanitizer import sanitize_enabled
     from repro.kernel.base import resolve_backend
-    from repro.telemetry.session import metrics_directory, trace_directory
+    from repro.telemetry.session import telemetry_enabled
 
     sanitize = sanitize_enabled()
-    tracing = (
-        trace_directory() is not None or metrics_directory() is not None
-    )
-    checkpointing = (
-        context is not None
-        and context.checkpoint_every is not None
-        and context.checkpoint_dir is not None
-    )
+    tracing = telemetry_enabled()
     return [
-        resolve_backend(
-            config,
-            backend,
-            sanitize=sanitize,
-            trace=tracing,
-            checkpoint=checkpointing,
-        )
+        resolve_backend(config, backend, sanitize=sanitize, trace=tracing)
         for config in configs
     ]
 
 
-def _mixed_backend_simulate(
-    configs: list["NetworkConfig"],
-    payloads: list[dict[str, Any]],
-    backends: list[str],
-    warmup_cycles: int,
-    measure_cycles: int,
-    jobs: int | None,
-) -> list["SimulationResult"]:
-    """Route a grid whose configs resolved to different backends.
-
-    The numpy subset is served from the cache where possible, with the
-    misses fused into batch kernels in this process; the reference
-    subset re-enters :func:`parallel_simulate` with the backend pinned,
-    keeping its pooling/checkpointing/caching behaviour untouched.
-    """
-    global _cycles_simulated
-    context = runtime.active()
-    cache = context.cache if context is not None else None
-    results: list[Any] = [None] * len(configs)
-    numpy_indices = [i for i, b in enumerate(backends) if b == "numpy"]
-    reference_indices = [i for i, b in enumerate(backends) if b != "numpy"]
-    keys: dict[int, Any] = {}
-    missed = numpy_indices
-    if cache is not None and context is not None:
-        keys = {
-            index: cache_key(
-                context.experiment, "simulation-result", payloads[index]
-            )
-            for index in numpy_indices
-        }
-        missed = []
-        for index in numpy_indices:
-            hit = cache.get(keys[index])
-            if hit is None:
-                missed.append(index)
-            else:
-                results[index] = hit
-    if missed:
-        _cycles_simulated += (warmup_cycles + measure_cycles) * len(missed)
-        fresh = _numpy_group_simulate(
-            [configs[i] for i in missed], warmup_cycles, measure_cycles
-        )
-        for index, result in zip(missed, fresh):
-            if cache is not None and context is not None:
-                cache.put(
-                    keys[index],
-                    context.experiment,
-                    "simulation-result",
-                    result,
-                )
-            results[index] = result
-    if reference_indices:
-        reference_results = parallel_simulate(
-            [configs[i] for i in reference_indices],
-            warmup_cycles,
-            measure_cycles,
-            jobs=jobs,
-            backend="reference",
-        )
-        for index, result in zip(reference_indices, reference_results):
-            results[index] = result
-    return results
-
-
-def _numpy_group_simulate(
+def _plan_tasks(
     configs: Sequence["NetworkConfig"],
+    payloads: Sequence[dict[str, Any]],
+    backends: Sequence[str],
+    jobs: int,
     warmup_cycles: int,
     measure_cycles: int,
-) -> list["SimulationResult"]:
-    """Run configs on the numpy backend, fused into batch groups.
+) -> list[tuple[SimTask, list[int]]]:
+    """Group the configs into batch tasks (see the module docstring).
 
-    Structurally identical configs (:func:`~repro.kernel.numpy_kernel
-    .batch_group_key`) share one struct-of-arrays kernel, so the whole
-    group advances per cycle with the same array ops — that fusion, not
-    a process pool, is the numpy backend's parallelism.  Results come
-    back in input order, byte-identical to per-config runs.
+    ``configs[i]`` runs on ``backends[i]``; returns each task with the
+    indices of its members, covering every config exactly once.  Under
+    a checkpointing context each task's file is named after its backend
+    and its members' payloads, so a retry of the same task finds the
+    dead worker's file and no two tasks share one.
     """
-    from repro.kernel.numpy_kernel import NumpyKernel, batch_group_key
-
+    if "numpy" in backends:
+        from repro.kernel.numpy_kernel import batch_group_key
     groups: dict[tuple[Any, ...], list[int]] = {}
-    for index, config in enumerate(configs):
-        groups.setdefault(batch_group_key(config), []).append(index)
-    results: list[Any] = [None] * len(configs)
-    for indices in groups.values():
-        kernel = NumpyKernel.batch([configs[i] for i in indices])
-        for index, result in zip(
-            indices, kernel.run_batch(warmup_cycles, measure_cycles)
-        ):
-            results[index] = result
-    return results
+    for index, (config, resolved) in enumerate(zip(configs, backends)):
+        group = (
+            (resolved, batch_group_key(config))
+            if resolved == "numpy"
+            else (resolved, index)
+        )
+        groups.setdefault(group, []).append(index)
+    context = runtime.active()
+    directory: Path | None = None
+    every: int | None = None
+    if context is not None and context.checkpointing:
+        directory, every = context.checkpoint_dir, context.checkpoint_every
+    tasks: list[tuple[SimTask, list[int]]] = []
+    for (resolved, _), members in groups.items():
+        count = min(jobs, len(members))
+        for first in range(count):
+            chunk = members[first::count]
+            checkpoint = None
+            if directory is not None:
+                stamp = digest_json(
+                    {"backend": resolved, "runs": [payloads[i] for i in chunk]}
+                )
+                checkpoint = str(directory / f"{stamp[:32]}.ckpt")
+            task = SimTask(
+                backend=resolved,
+                configs=tuple(configs[i] for i in chunk),
+                warmup_cycles=warmup_cycles,
+                measure_cycles=measure_cycles,
+                checkpoint_every=every,
+                checkpoint=checkpoint,
+            )
+            tasks.append((task, chunk))
+    return tasks
 
 
 def parallel_simulate(
@@ -406,28 +400,26 @@ def parallel_simulate(
     jobs: int | None = 1,
     backend: str | None = None,
 ) -> list["SimulationResult"]:
-    """Simulate every config, in input order, over ``jobs`` processes.
+    """Simulate every config, in input order, as batch tasks over ``jobs``.
 
     Per-config seeding makes the result list byte-identical for any
-    ``jobs`` value; ``jobs=1`` is a plain serial loop in this process.
-    Under an active cache context, previously computed configs are
-    served from the store (and only cache misses count toward
-    :func:`simulated_cycles`); with checkpointing configured, each
-    simulation periodically checkpoints into the context's directory so
-    a dead worker's replacement resumes instead of restarting.
+    ``jobs`` value and either backend.  Under an active cache context,
+    previously computed configs are served from the store (and only
+    cache misses count toward :func:`simulated_cycles`); with
+    checkpointing configured, each task periodically checkpoints into
+    the context's directory so a dead worker's replacement resumes
+    instead of restarting.
 
     ``backend`` forces a simulation backend for the whole grid; ``None``
-    honours the ``REPRO_BACKEND`` preference (see
-    :func:`repro.kernel.base.resolve_backend`).  Configs that resolve to
-    the numpy backend are fused into struct-of-arrays batch kernels and
-    run in this process — vectorization replaces the pool — while the
-    rest (unsupported configs under a soft preference, or everything
-    under active instrumentation) take the standard reference path.
-    Results are byte-identical either way, so the two routes share one
-    cache namespace: a result computed by either backend is a hit for
-    both.
+    takes the context's backend, else the ``REPRO_BACKEND`` preference,
+    else the numpy kernel wherever it is exact (see
+    :func:`repro.kernel.base.resolve_backend`).  Both backends produce
+    byte-identical results and share one cache namespace: a result
+    computed by either is a hit for both.
     """
+    global _cycles_simulated
     configs = list(configs)
+    jobs = resolve_jobs(jobs)
     payloads = [
         {
             "config": config.to_state(),
@@ -441,49 +433,23 @@ def parallel_simulate(
         # The runner's --backend flag arrives ambiently, like the cache:
         # experiments stay backend-oblivious (see CacheContext.backend).
         backend = context.backend
-    backends = _resolve_backends(configs, backend, context)
-    if "numpy" in backends:
-        return _mixed_backend_simulate(
-            configs,
-            payloads,
-            backends,
-            warmup_cycles,
-            measure_cycles,
-            jobs,
-        )
-    tasks: list[tuple[Any, ...]]
-    if (
-        context is not None
-        and context.checkpoint_every is not None
-        and context.checkpoint_dir is not None
-    ):
-        directory = context.checkpoint_dir
-        tasks = []
-        for config, payload in zip(configs, payloads):
-            stamp = digest_json(payload)
-            tasks.append(
-                (
-                    config,
-                    warmup_cycles,
-                    measure_cycles,
-                    context.checkpoint_every,
-                    str(directory / f"{stamp[:32]}.ckpt"),
-                )
-            )
-    else:
-        tasks = [
-            (config, warmup_cycles, measure_cycles) for config in configs
-        ]
-
-    def count_cycles(executed: int) -> None:
-        global _cycles_simulated
-        _cycles_simulated += (warmup_cycles + measure_cycles) * executed
-
-    return parallel_map(
-        _simulate_task,
-        tasks,
-        jobs=jobs,
-        codec="simulation-result",
-        payloads=payloads,
-        on_executed=count_cycles,
+    results, store = _memo("simulation-result", payloads)
+    missed = [index for index, hit in enumerate(results) if hit is None]
+    _cycles_simulated += (warmup_cycles + measure_cycles) * len(missed)
+    if not missed:
+        return results
+    missed_configs = [configs[i] for i in missed]
+    planned = _plan_tasks(
+        missed_configs,
+        [payloads[i] for i in missed],
+        _resolve_backends(missed_configs, backend),
+        jobs,
+        warmup_cycles,
+        measure_cycles,
     )
+    fresh = _execute(_simulate_task, [task for task, _ in planned], jobs)
+    for (_, members), batch in zip(planned, fresh):
+        for member, result in zip(members, batch):
+            store(missed[member], result)
+            results[missed[member]] = result
+    return results

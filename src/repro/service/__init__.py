@@ -3,8 +3,11 @@
 An asyncio HTTP/JSON front end (:mod:`repro.service.server`) over a
 supervised farm of simulation worker processes
 (:mod:`repro.service.supervisor`).  Experiment requests are
-content-addressed and deduplicated against :mod:`repro.cache`; worker
-deaths are detected by heartbeat and resumed from checkpoints under a
+content-addressed and deduplicated against :mod:`repro.cache`; each
+grid's simulations run as batch tasks on the pool — fused numpy batches
+split one per worker wherever the numpy kernel is exact, single
+reference simulations elsewhere; worker deaths are detected by
+heartbeat and resumed from checkpoints (of either backend) under a
 bounded, backed-off retry budget (:mod:`repro.service.backoff`); a
 circuit breaker (:mod:`repro.service.breaker`) degrades answers down a
 marked ladder (:mod:`repro.service.jobs`) instead of refusing; and a

@@ -62,8 +62,9 @@ class JobSpec:
     """One experiment request: which experiment, at what fidelity, what seed.
 
     ``backend`` optionally forces a simulation backend for the job
-    (``"reference"``/``"numpy"``); ``None`` lets the worker's ambient
-    ``REPRO_BACKEND`` preference apply.  Because both backends produce
+    (``"reference"``/``"numpy"``); ``None`` lets the ambient
+    ``REPRO_BACKEND`` preference apply, else the numpy kernel wherever
+    it is exact.  Because both backends produce
     byte-identical results, the backend is deliberately **excluded**
     from the spec's canonical payload — a numpy job and a reference job
     for the same experiment coalesce to one cache entry.
@@ -169,7 +170,8 @@ class JobRecord:
     requests: int = 1
     result: dict[str, Any] | None = None
     error: dict[str, Any] | None = None
-    #: Simulation tasks actually dispatched to the pool (0 on cache hits).
+    #: Simulation tasks actually dispatched to the pool (0 on cache
+    #: hits); a fused numpy batch task counts one per simulation.
     tasks_executed: int = 0
     job_seconds: float = 0.0
     #: Set once the job reaches a terminal state (done/failed).

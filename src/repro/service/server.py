@@ -13,9 +13,15 @@ lives:
   the store already holds is answered without simulating, and concurrent
   requests for the same spec *coalesce* onto one in-flight job.
 * **Execution** runs on a :class:`~repro.service.supervisor
-  .SupervisedPool`: each experiment's grid points shard across worker
-  processes under heartbeat monitoring, per-attempt deadlines, and
-  bounded, backed-off retries that resume from checkpoints.
+  .SupervisedPool`: each experiment's grid shards across worker
+  processes as batch tasks (:class:`~repro.perf.parallel.SimTask`) under
+  heartbeat monitoring, per-attempt deadlines, and bounded, backed-off
+  retries that resume from checkpoints.  Wherever the numpy kernel is
+  exact — the paper's buffers and arbiters, no sanitizer or telemetry —
+  a grid runs as fused numpy batches, split into one task per worker;
+  everything else runs one reference simulation per task.  A job's
+  ``tasks_executed`` counts simulations, so a fused task of ``B``
+  configs counts ``B``.
 * **Degradation** is governed by a :class:`~repro.service.breaker
   .CircuitBreaker` over job outcomes.  While it is open the service
   never refuses: it walks the ladder of :mod:`repro.service.jobs` —
@@ -397,6 +403,7 @@ class SimulationService:
 
     def _execute(self, record: JobRecord) -> None:
         from repro.experiments.runner import run_experiment
+        from repro.perf.parallel import task_simulations
 
         with self._lock:
             record.status = "running"
@@ -405,16 +412,18 @@ class SimulationService:
 
         def dispatcher(fn: Any, items: list[Any]) -> list[Any]:
             nonlocal executed
-            executed += len(items)
+            executed += sum(task_simulations(item) for item in items)
             return self.pool.map(fn, items)
 
         spec = record.spec
         try:
+            # ``jobs`` is the pool's width: each grid's numpy batch is
+            # split into that many fused tasks, one per worker.
             result = run_experiment(
                 spec.experiment,
                 quick=spec.quick,
                 seed=spec.seed,
-                jobs=1,
+                jobs=self.config.workers,
                 cache=self._sim_cache,
                 checkpoint_every=self.config.checkpoint_every,
                 checkpoint_dir=self._checkpoint_dir,

@@ -545,14 +545,9 @@ class SupervisedPool:
 
     @staticmethod
     def _checkpoint_of(task: _Task) -> str | None:
-        item = task.item
-        if (
-            isinstance(item, tuple)
-            and len(item) == 5
-            and isinstance(item[4], str)
-        ):
-            return item[4]
-        return None
+        from repro.perf.parallel import task_checkpoint
+
+        return task_checkpoint(task.item)
 
     def _promote_waiting(self) -> None:
         if not self._waiting:

@@ -78,6 +78,7 @@ __all__ = [
     "TraceSession",
     "config_tag",
     "metrics_directory",
+    "telemetry_enabled",
     "trace_directory",
 ]
 
@@ -116,6 +117,11 @@ def trace_directory(env: str | None = None) -> str | None:
 def metrics_directory(env: str | None = None) -> str | None:
     """Export dir from ``REPRO_METRICS`` (same convention)."""
     return _directory_from(METRICS_ENV, env)
+
+
+def telemetry_enabled() -> bool:
+    """Whether ``REPRO_TRACE`` or ``REPRO_METRICS`` asks for telemetry."""
+    return trace_directory() is not None or metrics_directory() is not None
 
 
 def config_tag(config: NetworkConfig) -> str:

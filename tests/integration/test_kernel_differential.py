@@ -198,3 +198,5 @@ class TestCliSmoke:
             "fused batch of 4 (FIFO, DAMQ, SAMQ, SAFC): 4/4 members match "
             "their reference kernels on 120 compared cycles" in out
         )
+        # ... and resumed from a mid-run checkpoint into a fresh kernel.
+        assert "resumed from a checkpoint after cycle 60" in out

@@ -141,6 +141,27 @@ class TestAdmissionControl:
             service.close()
 
 
+class TestNumpyBatchTasks:
+    def test_fresh_grid_job_counts_one_task_per_config(self, tmp_path):
+        """A numpy-backed grid runs as fused batch tasks, one per worker,
+        yet the job reports one executed task per simulated config."""
+        pytest.importorskip("numpy")
+        from repro.kernel.bench import bench_grids
+
+        grid = bench_grids(quick=True)["figure3"]
+        with serve_in_thread(
+            ServiceConfig(port=0, workers=2, data_dir=tmp_path)
+        ) as live:
+            client = ServiceClient(live.url)
+            status, document = client.submit("figure3", wait=True)
+            assert status == 200, document
+            assert document["source"] == "fresh"
+            assert document["tasks_executed"] == len(grid)
+            assert client.stats()["pool"]["tasks_completed"] == 2
+            serial = run_experiment("figure3", quick=True).render()
+            assert document["result"]["report"] == serial
+
+
 class TestDegradationLadder:
     def test_breaker_open_serves_analytic_prediction(self, handle, client):
         breaker = handle.service.breaker

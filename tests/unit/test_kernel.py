@@ -54,9 +54,19 @@ class TestRequestedBackend:
 
 
 class TestResolveBackend:
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_is_numpy_where_exact(self, monkeypatch):
+        if not numpy_available():
+            pytest.skip("numpy not installed")
         monkeypatch.delenv(BACKEND_ENV, raising=False)
+        assert DEFAULT_BACKEND == "numpy"
         assert resolve_backend(NetworkConfig(**QUICK)) == DEFAULT_BACKEND
+        # Everything the numpy kernel cannot run exactly stays on the
+        # reference kernel without complaint.
+        config = NetworkConfig(**QUICK)
+        assert resolve_backend(config, sanitize=True) == "reference"
+        assert resolve_backend(config, trace=True) == "reference"
+        extension = NetworkConfig(serialize_links=True, **QUICK)
+        assert resolve_backend(extension) == "reference"
 
     def test_env_preference_applies_softly(self, monkeypatch):
         if not numpy_available():
@@ -68,15 +78,38 @@ class TestResolveBackend:
         # preference yields to the reference kernel without complaint.
         assert resolve_backend(config, sanitize=True) == "reference"
         assert resolve_backend(config, trace=True) == "reference"
-        assert resolve_backend(config, checkpoint=True) == "reference"
+        # The oracle stays one environment variable away.
+        monkeypatch.setenv(BACKEND_ENV, "reference")
+        assert resolve_backend(config) == "reference"
 
     @pytest.mark.parametrize(
         "flags",
-        [dict(sanitize=True), dict(trace=True), dict(checkpoint=True)],
+        [dict(sanitize=True), dict(trace=True)],
     )
     def test_forced_numpy_with_instrumentation_raises(self, flags):
         with pytest.raises(ConfigurationError):
             resolve_backend(NetworkConfig(**QUICK), "numpy", **flags)
+
+    def test_forced_numpy_checkpoints(self, tmp_path):
+        """Checkpointing no longer forces the reference kernel: a forced
+        numpy run writes a numpy checkpoint and resumes from it."""
+        pytest.importorskip("numpy")
+        from repro.network.simulator import (
+            load_checkpoint,
+            resume_run,
+            simulate,
+        )
+
+        config = NetworkConfig(**QUICK)
+        path = tmp_path / "forced.ckpt"
+        result = simulate(
+            config, 20, 60, checkpoint_every=25, checkpoint_path=path,
+            backend="numpy",
+        )
+        assert load_checkpoint(path)["backend"] == "numpy"
+        want = simulate(config, 20, 60, backend="reference").to_state()
+        assert result.to_state() == want
+        assert resume_run(path).to_state() == want
 
     def test_forced_numpy_on_unsupported_config_raises(self):
         if not numpy_available():

@@ -128,10 +128,13 @@ class TestWorkerDeath:
             assert stats["tasks_failed"] == 1
 
     def test_exhaustion_error_names_the_checkpoint(self):
-        # Checkpointed simulation tasks are 5-tuples ending in the
-        # checkpoint path; the terminal error must surface it so a
-        # manual retry can resume.
-        item = ("config", 100, 300, 50, "/tmp/resume-here.ckpt")
+        # Checkpointed simulation tasks carry their checkpoint path; the
+        # terminal error must surface it so a manual retry can resume.
+        from repro.perf.parallel import SimTask
+
+        item = SimTask(
+            "numpy", (), 100, 300, 50, checkpoint="/tmp/resume-here.ckpt"
+        )
         with SupervisedPool(fast_config()) as pool:
             with pytest.raises(WorkerFailedError) as info:
                 pool.map(die_always, [item])

@@ -80,10 +80,14 @@ def run_experiment(
     mid-run instead of restarting.  Neither option changes the results
     in any bit.
 
-    ``dispatcher`` replaces the mapper's own process pool with an
-    external executor ``(fn, items) -> results`` — the simulation
-    service passes its supervised worker pool here so every grid point
-    runs under heartbeat monitoring and bounded, backed-off retries.
+    ``jobs`` above 1 runs each grid on a
+    :class:`~repro.perf.supervisor.SupervisedPool` opened for the call:
+    a worker that dies has its task retried (resumed from its checkpoint
+    when checkpointing is on), and only a task that exhausts the retry
+    budget fails, with :class:`~repro.errors.WorkerFailedError`.
+    ``dispatcher`` replaces that per-call pool with an external executor
+    ``(fn, items) -> results`` — the simulation service passes its
+    long-lived pool's ``map`` here.
 
     ``backend`` forces a simulation backend for every grid the
     experiment fans out (``"reference"`` or ``"numpy"``); ``None``

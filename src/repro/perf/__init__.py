@@ -9,6 +9,9 @@ provides:
 * :func:`parallel_simulate` / :func:`parallel_map` — a process-pool map
   over independent runs (``jobs=1`` degrades to the plain serial loop, so
   serial and parallel results are byte-identical);
+* :mod:`repro.perf.supervisor` — the one process pool those maps and
+  the simulation service run on: heartbeats, deadlines and a bounded
+  per-task retry budget;
 * :mod:`repro.perf.harness` — wall-time and simulated-cycles/sec
   measurement per experiment, written to ``BENCH_<pr>.json`` so every PR
   can be tracked against the committed baseline.

@@ -18,59 +18,55 @@ simulation backends:
    runs as one fused :class:`~repro.kernel.numpy_kernel.NumpyKernel`
    batch.  Every reference config is a task of its own — a batch of
    one;
-3. all tasks run through one executor: the active context's
+3. all tasks run on one kind of pool, the
+   :class:`~repro.perf.supervisor.SupervisedPool`: the active context's
    ``dispatcher`` when it carries one (:mod:`repro.service` installs
-   its supervised worker pool this way, so the same experiment code runs
-   under heartbeat monitoring and per-task deadlines), else
-   :func:`_dispatch` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-   over ``jobs`` processes, or a plain in-process loop for ``jobs=1``.
+   its long-lived pool this way), else a pool of ``min(jobs, tasks)``
+   workers opened for the call — or a plain in-process loop for
+   ``jobs=1`` or a single task.
 
 Results come back in input order, byte-identical for any ``jobs`` value
 and either backend.
 
-A worker that dies (segfault, OOM kill, ``os._exit``) surfaces as a
-:class:`~repro.errors.WorkerFailedError` rather than a hang or a raw
-``BrokenProcessPool`` — unless the active context has checkpointing
-configured.  Then every task checkpoints into the context's directory
-(a reference task as a JSON snapshot, a numpy task as one ``.npz``
-archive of its whole batch), the still-pending tasks are retried in a
-fresh pool (after a deterministic-jitter backoff, budget bounded by
-:data:`RESTART_POLICY`), and each replacement worker resumes its task
-from the dead worker's last on-disk checkpoint instead of starting
-over.  When the budget runs out the error names the task, its attempt
+A worker that dies (segfault, OOM kill, ``os._exit``) is detected by
+the pool and its task retried on a fresh worker under
+:data:`~repro.perf.supervisor.TASK_RETRY` (deterministic-jitter
+backoff, bounded attempt budget).  When the active context has
+checkpointing configured, every task checkpoints into the context's
+directory (a reference task as a JSON snapshot, a numpy task as one
+``.npz`` archive of its whole batch) and the retry resumes from the dead
+worker's last on-disk checkpoint; without one the retry starts over,
+which gives the same result because every config is seeded on its own.
+When the budget runs out the task fails with a
+:class:`~repro.errors.WorkerFailedError` naming the task, its attempt
 count and the checkpoint a manual retry could resume from.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.cache import runtime
 from repro.cache.keys import cache_key
+from repro.errors import ConfigurationError
+from repro.perf.supervisor import SupervisedPool, SupervisorConfig
 from repro.utils.digest import digest_json
-from repro.errors import ConfigurationError, WorkerFailedError
-from repro.utils.backoff import BackoffPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.network.metrics import SimulationResult
     from repro.network.simulator import NetworkConfig
 
 __all__ = [
-    "RESTART_POLICY",
     "SimTask",
     "parallel_map",
     "parallel_simulate",
     "resolve_jobs",
     "reset_simulated_cycles",
     "simulated_cycles",
-    "task_checkpoint",
     "task_simulations",
 ]
 
@@ -79,16 +75,6 @@ __all__ = [
 #: simulated-cycles-per-second).  Cache hits perform no simulation and
 #: are not counted.
 _cycles_simulated = 0
-
-#: Restart budget and delays for pool recovery after a worker death.
-#: Shared shape with :mod:`repro.service` (which uses its own seconds-
-#: tuned instance): exponential with deterministic jitter so several
-#: resuming pools do not stampede the disk in lockstep.  ``max_attempts``
-#: counts attempts per task: the first run plus two pool restarts —
-#: matching the historical ``_POOL_RETRIES = 2``.
-RESTART_POLICY = BackoffPolicy(
-    base=0.05, factor=2.0, cap_multiple=8.0, max_attempts=3, jitter=0.5
-)
 
 
 def simulated_cycles() -> int:
@@ -131,81 +117,26 @@ class SimTask:
     checkpoint: str | None = None
 
 
-def task_checkpoint(item: Any) -> str | None:
-    """The checkpoint path a pool work item carries, when it carries one."""
-    return item.checkpoint if isinstance(item, SimTask) else None
-
-
 def task_simulations(item: Any) -> int:
     """Simulations one pool work item runs: a batch task counts each
     member, any other item counts one."""
     return len(item.configs) if isinstance(item, SimTask) else 1
 
 
-def _dispatch(
-    fn: Callable[[Any], Any],
-    items: list[Any],
-    jobs: int,
-    resumable: bool,
-) -> list[Any]:
-    """Execute every item, in input order, with bounded pool restarts.
-
-    When ``resumable`` (the active context has checkpointing configured),
-    a worker death starts a fresh pool after a :data:`RESTART_POLICY`
-    backoff; completed results are kept and only the still-pending items
-    are resubmitted (their workers resume from on-disk checkpoints when
-    the tasks carry them).  A task that exhausts the policy's attempt
-    budget — or any death when ``resumable`` is false, preserving the
-    uncached fail-fast behaviour — raises :class:`WorkerFailedError`
-    naming the task, its attempt count and its last checkpoint.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    results: list[Any] = [None] * len(items)
-    pending = list(range(len(items)))
-    attempts = dict.fromkeys(pending, 0)
-    while True:
-        for index in pending:
-            attempts[index] += 1
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = {pool.submit(fn, items[i]): i for i in pending}
-                for future in as_completed(futures):
-                    index = futures[future]
-                    results[index] = future.result()
-                    pending.remove(index)
-            return results
-        except BrokenProcessPool as exc:
-            # Every still-pending task was (or may have been) in flight
-            # on the dead pool; all of them burn one attempt.
-            budget = RESTART_POLICY.max_attempts if resumable else 1
-            worst = max(pending, key=lambda i: attempts[i])
-            if attempts[worst] >= budget:
-                checkpoint = task_checkpoint(items[worst])
-                detail = (
-                    f"resumable from checkpoint {checkpoint}"
-                    if checkpoint is not None
-                    else "rerun with jobs=1 to debug in-process"
-                )
-                raise WorkerFailedError(
-                    f"simulation task {worst} lost its worker process "
-                    f"{attempts[worst]} time(s) (crashed or killed); {detail}",
-                    task_id=worst,
-                    attempts=attempts[worst],
-                    checkpoint=checkpoint,
-                ) from exc
-            time.sleep(RESTART_POLICY.delay(attempts[worst], key="pool"))
-
-
 def _execute(
     fn: Callable[[Any], Any], items: list[Any], jobs: int
 ) -> list[Any]:
-    """Run every item on the context's dispatcher, else :func:`_dispatch`."""
+    """Run every item on the context's dispatcher, in-process for one
+    job or one item, else on a :class:`SupervisedPool` opened for the
+    call."""
     context = runtime.active()
     if context is not None and context.dispatcher is not None:
         return context.dispatcher(fn, items)
-    resumable = context is not None and context.checkpointing
-    return _dispatch(fn, items, jobs, resumable)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    config = SupervisorConfig(workers=min(jobs, len(items)), task_deadline=None)
+    with SupervisedPool(config) as pool:
+        return pool.map(fn, items)
 
 
 def _memo(
@@ -242,11 +173,12 @@ def parallel_map(
 
     ``fn`` and every item must be picklable (``fn`` defined at module top
     level).  Results come back in input order.  Exceptions raised *inside*
-    a worker propagate unchanged; a worker process that dies outright is
-    reported as :class:`WorkerFailedError` (or retried with backoff, when
-    the active cache context has checkpointing configured).  A context
-    carrying a ``dispatcher`` delegates all execution — pooling, retries
-    and supervision included — to it.
+    a worker propagate unchanged; a worker process that dies outright has
+    its item retried with backoff on a fresh worker, and only an item
+    that exhausts :data:`~repro.perf.supervisor.TASK_RETRY` is reported
+    as :class:`~repro.errors.WorkerFailedError`.  A context carrying a
+    ``dispatcher`` delegates all execution — pooling, retries and
+    supervision included — to it.
 
     ``codec`` opts the call into the result cache: when a
     :mod:`repro.cache` context is active, each unit of work is keyed by

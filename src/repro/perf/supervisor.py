@@ -1,25 +1,26 @@
 """Supervised worker-process pool: heartbeats, deadlines, bounded retries.
 
-This is the robustness core of :mod:`repro.service`.  Where
-:func:`repro.perf.parallel.parallel_simulate` restarts an anonymous
-``ProcessPoolExecutor`` when it breaks, the :class:`SupervisedPool` keeps
-*named* worker processes under continuous supervision:
+The one process pool of the repository.  :func:`repro.perf.parallel
+.parallel_map` runs ``--jobs N`` grids on a per-call instance, and the
+simulation service (:mod:`repro.service`) keeps one long-lived instance
+as every job's dispatcher.  Its *named* worker processes are under
+continuous supervision:
 
 * each worker carries a **heartbeat thread** writing into shared memory;
   a stale heartbeat (wedged process) or a dead PID is detected within a
   supervision tick, not at the end of the batch;
-* each task attempt carries a **deadline**; an attempt that overruns it
-  has its worker killed and the task retried;
-* retries follow the shared :class:`~repro.utils.backoff.BackoffPolicy`
-  (deterministic jitter, bounded budget).  A task that exhausts the
-  budget fails with a structured
+* each task attempt may carry a **deadline**; an attempt that overruns
+  it has its worker killed and the task retried;
+* retries follow :data:`TASK_RETRY` (deterministic jitter, bounded
+  budget).  A task that exhausts the budget fails with a structured
   :class:`~repro.errors.WorkerFailedError` — the contract is *deliver or
   say so*, never hang;
 * a replacement attempt of a checkpointed simulation task resumes from
   the dead worker's last on-disk checkpoint (the task functions of
   :mod:`repro.perf.parallel` already resume when their checkpoint file
   exists), so a kill costs the cycles since the last checkpoint, not the
-  whole run;
+  whole run.  A task without a checkpoint starts over, which gives the
+  same result: every simulation is seeded by its own config;
 * a seeded :class:`~repro.service.chaos.ChaosPolicy` can inject kills,
   stalls and slow result I/O per attempt — reproducibly.
 
@@ -39,24 +40,27 @@ import time
 import traceback
 import multiprocessing as mp
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigurationError, WorkerFailedError
-from repro.service.backoff import TASK_RETRY
-from repro.service.chaos import ChaosPolicy
 from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.backoff import BackoffPolicy
 
-__all__ = ["SupervisedPool", "SupervisorConfig"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.chaos import ChaosPolicy
+
+__all__ = ["SupervisedPool", "SupervisorConfig", "TASK_RETRY"]
 
 #: Exit code of a chaos-injected worker kill (mirrors SIGKILL's 128+9).
 CHAOS_EXIT_CODE = 137
 
-
-def _default_retry() -> BackoffPolicy:
-    """Retry budget of the service pool (see :mod:`repro.service.backoff`)."""
-    return TASK_RETRY
+#: Per-task retries: 4 attempts, 0.1 s base, ×2 growth, capped at 1.6 s,
+#: with deterministic ±50 % jitter so several tasks re-queued by one
+#: worker death do not thunder back in lockstep.
+TASK_RETRY = BackoffPolicy(
+    base=0.1, factor=2.0, cap_multiple=16.0, max_attempts=4, jitter=0.5
+)
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,8 @@ class SupervisorConfig:
     heartbeat_timeout: float = 3.0
     #: Per-attempt wall-clock budget (``None`` disables deadlines).
     task_deadline: float | None = 120.0
-    #: Retry schedule and budget shared with the rest of the repo.
-    retry: BackoffPolicy = field(default_factory=_default_retry)
-    #: ``multiprocessing`` start method (``None``: fork where available).
-    start_method: str | None = None
+    #: Retry schedule and attempt budget of every task.
+    retry: BackoffPolicy = TASK_RETRY
     #: Supervision loop cadence.
     tick: float = 0.02
 
@@ -118,12 +120,15 @@ def _worker_main(
     interval: float,
 ) -> None:
     """Worker process body: beat, take a task, run it, post the outcome."""
-    stop_beating = threading.Event()
+    parent = os.getppid()
 
     def _beat() -> None:
-        while not stop_beating.is_set():
+        # Beat until an orphan check finds the pool's process gone
+        # (killed without stop()): then no one reads a result, so leave.
+        while os.getppid() == parent:
             heartbeats[slot] = time.monotonic()
-            stop_beating.wait(interval)
+            time.sleep(interval)
+        os._exit(0)
 
     threading.Thread(target=_beat, daemon=True).start()
     while True:
@@ -226,12 +231,9 @@ class SupervisedPool:
         self.config = config or SupervisorConfig()
         self.chaos = chaos
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        method = self.config.start_method
-        if method is None:
-            method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(method)
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self._heartbeats = self._ctx.Array("d", self.config.workers, lock=False)
         self._lock = threading.RLock()
         self._tasks: dict[int, _Task] = {}
@@ -241,6 +243,9 @@ class SupervisedPool:
         self._uids = itertools.count(1)
         self._running = False
         self._thread: threading.Thread | None = None
+        # Cuts the supervision loop's sleep short when work arrives or
+        # the pool stops, so neither waits for the next tick.
+        self._wake = threading.Event()
         # Metric handles cached once (hot path: one tick every ~20 ms).
         self._m_completed = self.metrics.counter(
             "service_tasks_total", outcome="completed"
@@ -278,11 +283,19 @@ class SupervisedPool:
         return self
 
     def stop(self) -> None:
-        """Stop supervision and terminate every worker."""
+        """Stop supervision and terminate every worker.
+
+        Every unfinished task fails with :class:`WorkerFailedError`, so a
+        thread blocked in :meth:`map` returns instead of waiting forever.
+        """
         with self._lock:
             if not self._running:
                 return
             self._running = False
+            for task in self._tasks.values():
+                if not task.finished.is_set():
+                    self._fail(task, "was cancelled: the pool stopped")
+        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -317,13 +330,13 @@ class SupervisedPool:
         unchanged without retry; worker deaths, stalls and deadline
         overruns are retried per the configured
         :class:`~repro.utils.backoff.BackoffPolicy` and surface as
-        :class:`WorkerFailedError` only once the budget is exhausted.
+        :class:`WorkerFailedError` only once the budget is exhausted (or
+        the pool is stopped under them).
         """
-        if not self._running:
-            raise ConfigurationError("SupervisedPool.map before start()")
-        items = list(items)
         tasks: list[_Task] = []
         with self._lock:
+            if not self._running:
+                raise ConfigurationError("SupervisedPool.map before start()")
             for item in items:
                 uid = next(self._uids)
                 key = f"task-{uid}"
@@ -331,6 +344,7 @@ class SupervisedPool:
                 self._tasks[uid] = task
                 self._ready.append(uid)
                 tasks.append(task)
+        self._wake.set()
         for task in tasks:
             task.finished.wait()
         results = []
@@ -393,13 +407,6 @@ class SupervisedPool:
                 ),
             }
 
-    @property
-    def saturated(self) -> bool:
-        """Whether every worker is busy and work is queued behind them."""
-        with self._lock:
-            busy = all(w.busy_uid is not None for w in self._workers)
-            return busy and bool(self._ready or self._waiting)
-
     # ------------------------------------------------------------------
     # Supervision internals (all called with the lock held unless noted)
     # ------------------------------------------------------------------
@@ -437,7 +444,8 @@ class SupervisedPool:
                 self._m_busy.set(
                     sum(1 for w in self._workers if w.busy_uid is not None)
                 )
-            time.sleep(self.config.tick)
+            self._wake.wait(self.config.tick)
+            self._wake.clear()
 
     def _drain_results(self) -> None:
         for worker in self._workers:
@@ -526,16 +534,11 @@ class SupervisedPool:
             task.first_death = now
         policy = self.config.retry
         if policy.exhausted(task.attempts):
-            task.state = "failed"
-            task.error = WorkerFailedError(
-                f"task {task.key} lost its worker {task.attempts} time(s) "
-                f"and exhausted the retry budget of {policy.max_attempts}",
-                task_id=task.key,
-                attempts=task.attempts,
-                checkpoint=self._checkpoint_of(task),
+            self._fail(
+                task,
+                f"lost its worker {task.attempts} time(s) and exhausted "
+                f"the retry budget of {policy.max_attempts}",
             )
-            self._m_failed.inc()
-            task.finished.set()
             return
         task.state = "waiting"
         task.assigned_slot = None
@@ -543,11 +546,25 @@ class SupervisedPool:
         self._waiting.append(task.uid)
         self._m_retried.inc()
 
-    @staticmethod
-    def _checkpoint_of(task: _Task) -> str | None:
-        from repro.perf.parallel import task_checkpoint
-
-        return task_checkpoint(task.item)
+    def _fail(self, task: _Task, reason: str) -> None:
+        """Fail ``task`` for good with an error naming it and its checkpoint."""
+        # A batch task (repro.perf.parallel.SimTask) carries the path of
+        # its checkpoint file; a manual retry can resume from it.
+        checkpoint = getattr(task.item, "checkpoint", None)
+        detail = (
+            f"resumable from checkpoint {checkpoint}"
+            if checkpoint is not None
+            else "no checkpoint to resume from"
+        )
+        task.state = "failed"
+        task.error = WorkerFailedError(
+            f"task {task.key} {reason}; {detail}",
+            task_id=task.key,
+            attempts=task.attempts,
+            checkpoint=checkpoint,
+        )
+        self._m_failed.inc()
+        task.finished.set()
 
     def _promote_waiting(self) -> None:
         if not self._waiting:

@@ -1,15 +1,11 @@
-"""Service-tuned retry and backpressure schedules.
+"""Service-tuned client retry and backpressure schedules.
 
-One place for every delay the service hands out, all derived from the
-shared :class:`repro.utils.backoff.BackoffPolicy` (the same machinery
+The delays the service hands to its clients, derived from the shared
+:class:`repro.utils.backoff.BackoffPolicy` (the same machinery
 :mod:`repro.faults.transport` uses for link-level retransmits and
-:mod:`repro.perf.parallel` for pool restarts — one backoff idiom across
-the repo, tuned per layer):
+:mod:`repro.perf.supervisor` for worker-task retries — one backoff idiom
+across the repo, tuned per layer):
 
-* :data:`TASK_RETRY` — per-task retry schedule of the supervised worker
-  pool: how long a task killed with its worker waits before its next
-  attempt, and how many attempts it gets before the pool gives up with a
-  structured :class:`~repro.errors.WorkerFailedError`.
 * :data:`CLIENT_RETRY` — what a well-behaved client should do between
   attempts after a 429/503; the bench client follows it.
 * :func:`retry_after` — the ``Retry-After`` value the server attaches to
@@ -20,14 +16,7 @@ from __future__ import annotations
 
 from repro.utils.backoff import BackoffPolicy
 
-__all__ = ["CLIENT_RETRY", "TASK_RETRY", "retry_after"]
-
-#: Supervised-pool task retries: 4 attempts, 0.1 s base, ×2 growth,
-#: capped at 1.6 s, with deterministic ±50 % jitter so several tasks
-#: re-queued by one worker death do not thunder back in lockstep.
-TASK_RETRY = BackoffPolicy(
-    base=0.1, factor=2.0, cap_multiple=16.0, max_attempts=4, jitter=0.5
-)
+__all__ = ["CLIENT_RETRY", "retry_after"]
 
 #: Client-side schedule after a 429/503: 0.2 s base, ×2, capped at 3.2 s,
 #: up to 6 attempts.  Jitter here desynchronizes *clients*, the one place

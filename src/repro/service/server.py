@@ -12,7 +12,7 @@ lives:
   (:meth:`~repro.service.jobs.JobSpec.key`), so a request for a result
   the store already holds is answered without simulating, and concurrent
   requests for the same spec *coalesce* onto one in-flight job.
-* **Execution** runs on a :class:`~repro.service.supervisor
+* **Execution** runs on a :class:`~repro.perf.supervisor
   .SupervisedPool`: each experiment's grid shards across worker
   processes as batch tasks (:class:`~repro.perf.parallel.SimTask`) under
   heartbeat monitoring, per-attempt deadlines, and bounded, backed-off
@@ -58,6 +58,7 @@ from typing import Any
 
 from repro.cache.store import ResultCache
 from repro.errors import ConfigurationError
+from repro.perf.supervisor import SupervisedPool, SupervisorConfig
 from repro.service.backoff import retry_after
 from repro.service.breaker import CircuitBreaker
 from repro.service.chaos import ChaosPolicy
@@ -67,7 +68,6 @@ from repro.service.jobs import (
     JobSpec,
     analytic_prediction,
 )
-from repro.service.supervisor import SupervisedPool, SupervisorConfig
 from repro.telemetry.metrics import METRICS_VERSION, MetricsRegistry
 
 __all__ = [

@@ -2,8 +2,8 @@
 
 Retry schedules appear in three places in this codebase — the reliable
 transport of :mod:`repro.faults.transport` (retransmission timers counted
-in network cycles), the process-pool restart path of
-:mod:`repro.perf.parallel`, and the supervised experiment farm of
+in network cycles), the task retries of the worker pool in
+:mod:`repro.perf.supervisor`, and the client retries of
 :mod:`repro.service` (both counted in seconds).  All three share the same
 shape: a base delay that doubles per attempt up to a cap, a bounded
 attempt budget, and — for the wall-clock consumers — jitter that spreads

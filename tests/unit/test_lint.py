@@ -386,12 +386,11 @@ class TestRep007WallClockOutsideAllowlist:
         ) == []
 
     def test_service_allowed(self):
-        # Process supervision is wall-clock by nature: heartbeats,
-        # deadlines and retry delays all read real time.
+        # The service times jobs and admission on the wall clock.
         assert codes(
             self.WALL_CLOCK,
-            module="repro.service.supervisor",
-            path="src/repro/service/supervisor.py",
+            module="repro.service.server",
+            path="src/repro/service/server.py",
         ) == []
 
     def test_simulation_path_is_rep002_not_rep007(self):

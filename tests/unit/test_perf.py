@@ -2,10 +2,11 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, WorkerFailedError
 from repro.network.simulator import NetworkConfig
 from repro.perf import (
     parallel_map,
@@ -21,6 +22,7 @@ from repro.perf.harness import (
     measure_experiment,
     write_bench,
 )
+from repro.perf.supervisor import TASK_RETRY
 
 #: A small grid of independent configs (different loads and seeds).
 GRID = [
@@ -47,6 +49,16 @@ def fingerprint(result) -> tuple:
 
 def _crash(_item):  # pragma: no cover - runs in the worker process
     os._exit(13)  # simulate a segfault/OOM kill: no exception, no result
+
+
+def _die_once(item):  # pragma: no cover - runs in the worker process
+    """First attempt hard-exits; the retry sees the marker and works."""
+    marker, value = item
+    path = Path(marker)
+    if not path.exists():
+        path.write_text("died")
+        os._exit(13)
+    return value * 2
 
 
 class TestResolveJobs:
@@ -86,6 +98,19 @@ class TestParallelMap:
     def test_crashed_worker_reported_cleanly(self):
         with pytest.raises(SimulationError):
             parallel_map(_crash, [1, 2], jobs=2)
+
+    def test_dead_worker_retried_without_a_context(self, tmp_path):
+        # No cache or checkpoint context: the task restarts from cycle 0
+        # on a fresh worker, and the results are still complete and in
+        # input order.
+        items = [(str(tmp_path / "dies"), 5), (str(tmp_path / "ok"), 7)]
+        (tmp_path / "ok").write_text("never dies")
+        assert parallel_map(_die_once, items, jobs=2) == [10, 14]
+
+    def test_crash_exhausts_the_task_retry_budget(self):
+        with pytest.raises(WorkerFailedError) as info:
+            parallel_map(_crash, [1, 2], jobs=2)
+        assert info.value.attempts == TASK_RETRY.max_attempts
 
 
 def _div_by_zero(item):  # pragma: no cover - runs in the worker process

@@ -8,14 +8,17 @@ exercises exactly the transition it names.
 
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError, WorkerFailedError
+from repro.perf.supervisor import SupervisedPool, SupervisorConfig
 from repro.service.chaos import ChaosPolicy
-from repro.service.supervisor import SupervisedPool, SupervisorConfig
 from repro.utils.backoff import BackoffPolicy
 
 #: Fast supervision for tests: tight ticks, tiny backoff, 4-attempt budget.
@@ -67,6 +70,10 @@ def wedge_once(item):  # pragma: no cover - runs in the worker
         path.write_text("wedged")
         os.kill(os.getpid(), signal.SIGSTOP)
     return value * 3
+
+
+def sleep_long(_item):  # pragma: no cover - runs in the worker
+    time.sleep(30.0)
 
 
 def stall_once(item):  # pragma: no cover - runs in the worker
@@ -164,7 +171,6 @@ class TestWorkerDeath:
         # detected, retried, recovered.
         marker = tmp_path / "m"
         with SupervisedPool(fast_config()) as pool:
-            import threading
 
             def _assassin():
                 for _ in range(100):
@@ -178,6 +184,73 @@ class TestWorkerDeath:
             result = pool.map(stall_once, [(str(marker), 4)])
             killer.join(timeout=5.0)
             assert result == [20]
+
+
+class TestStop:
+    def test_stop_fails_a_blocked_map(self):
+        # stop() from another thread must release a caller blocked in
+        # map(): each unfinished task fails with a structured error.
+        pool = SupervisedPool(fast_config(task_deadline=None)).start()
+        outcome: list[BaseException] = []
+
+        def _map():
+            try:
+                pool.map(sleep_long, [1])
+            except BaseException as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=_map, daemon=True)
+        caller.start()
+        time.sleep(0.2)
+        pool.stop()
+        caller.join(timeout=5.0)
+        assert not caller.is_alive()
+        (error,) = outcome
+        assert isinstance(error, WorkerFailedError)
+        assert error.task_id is not None
+        assert "stopped" in str(error)
+
+    def test_orphaned_workers_exit(self):
+        # A pool process killed without stop() must not leave its
+        # workers behind: each notices its parent is gone and exits.
+        script = (
+            "import os\n"
+            "from repro.perf.supervisor import SupervisedPool\n"
+            "pool = SupervisedPool().start()\n"
+            "print(*(w.process.pid for w in pool._workers), flush=True)\n"
+            "os._exit(0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        pids = [int(pid) for pid in child.stdout.split()]
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            # An exited orphan lingers as a zombie until init reaps it.
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return True
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        for _ in range(200):
+            if not any(alive(pid) for pid in pids):
+                break
+            time.sleep(0.02)
+        assert not any(alive(pid) for pid in pids)
+
+    def test_map_after_stop_rejected(self):
+        pool = SupervisedPool(fast_config()).start()
+        pool.stop()
+        with pytest.raises(ConfigurationError):
+            pool.map(square, [1])
 
 
 class TestChaosIntegration:
